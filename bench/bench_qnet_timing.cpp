@@ -11,7 +11,7 @@
 
 #include "bench_common.hpp"
 #include "core/coordinator.hpp"
-#include "qnet/broker.hpp"
+#include "qnet/live_broker.hpp"
 #include "qnet/timing.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -26,14 +26,14 @@ void BM_PairSupplyHitRate(benchmark::State& state) {
   const double rate = std::pow(10.0, static_cast<double>(state.range(0)));
   qnet::QnetConfig cfg;
   cfg.pair_rate_hz = rate;
-  qnet::BrokerStats stats{};
+  qnet::LiveBrokerStats stats{};
   for (auto _ : state) {
     util::Rng rng(g_seed);
     stats = qnet::simulate_pair_supply(cfg, 1e4, 0.5, rng);
   }
   state.counters["pair_rate_hz"] = rate;
   state.counters["hit_fraction"] = stats.hit_fraction();
-  state.counters["mean_chsh_win"] = stats.mean_chsh_win;
+  state.counters["mean_chsh_win"] = stats.mean_chsh_win();
 }
 BENCHMARK(BM_PairSupplyHitRate)
     ->DenseRange(3, 7, 1)
@@ -41,7 +41,8 @@ BENCHMARK(BM_PairSupplyHitRate)
     ->Iterations(1);
 
 void BM_BrokerThroughput(benchmark::State& state) {
-  // Raw event throughput of the DES broker (a substrate microbenchmark).
+  // Raw pair + request throughput of the stepped pair-supply driver (a
+  // substrate microbenchmark).
   qnet::QnetConfig cfg;
   cfg.pair_rate_hz = 1e5;
   std::size_t events = 0;
@@ -92,7 +93,7 @@ int main(int argc, char** argv) {
     qnet::QnetConfig cfg;
     cfg.pair_rate_hz = rate;
     const auto report =
-        core::Coordinator::provision(cfg, 0.98, 1e4, 0.5, g_seed + 36);
+        core::Coordinator::provision(cfg, 1e4, 0.5, g_seed + 36);
     pt.add_row({rate, report.pair_hit_fraction,
                 report.mean_pair_age_s * 1e6,
                 report.effective_win_probability,

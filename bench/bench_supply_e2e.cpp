@@ -33,7 +33,6 @@ lb::LbResult run_with_rate(double pair_rate_hz, std::size_t servers) {
   pc.visibility = 1.0;
   qnet::QnetConfig supply;
   supply.pair_rate_hz = pair_rate_hz;
-  supply.source_visibility = 0.99;
   pc.supply = supply;
   pc.round_rate_hz = 1e4;  // one CHSH round per pair of balancers per step
   pc.seed = g_seed + 17;  // decorrelated from the cluster stream

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     cfg.pair_rate_hz = rate;
     cfg.fiber_km = fiber_km;
     const auto report =
-        core::Coordinator::provision(cfg, 0.98, request_rate, 0.5, 1);
+        core::Coordinator::provision(cfg, request_rate, 0.5, 1);
     const bool ok = report.quantum_worthwhile();
     if (ok && needed_rate < 0.0) needed_rate = rate;
     t.add_row({rate, report.pair_hit_fraction, report.mean_pair_age_s * 1e6,

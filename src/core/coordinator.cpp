@@ -1,5 +1,7 @@
 #include "core/coordinator.hpp"
 
+#include "qnet/live_broker.hpp"
+
 namespace ftl::core {
 
 std::pair<Endpoint, Endpoint> Coordinator::make_pair() {
@@ -42,19 +44,16 @@ std::unique_ptr<lb::LbStrategy> Coordinator::make_lb_strategy() const {
 }
 
 ProvisioningReport Coordinator::provision(const qnet::QnetConfig& supply,
-                                          double source_visibility,
                                           double request_rate_hz,
                                           double sim_duration_s,
                                           std::uint64_t seed) {
-  qnet::QnetConfig cfg = supply;
-  cfg.source_visibility = source_visibility;
   util::Rng rng(seed);
-  const qnet::BrokerStats stats =
-      qnet::simulate_pair_supply(cfg, request_rate_hz, sim_duration_s, rng);
+  const qnet::LiveBrokerStats stats =
+      qnet::simulate_pair_supply(supply, request_rate_hz, sim_duration_s, rng);
   ProvisioningReport report;
   report.pair_hit_fraction = stats.hit_fraction();
-  report.mean_pair_age_s = stats.mean_consumed_age_s;
-  report.effective_win_probability = stats.mean_chsh_win;
+  report.mean_pair_age_s = stats.mean_consumed_age_s();
+  report.effective_win_probability = stats.mean_chsh_win();
   return report;
 }
 

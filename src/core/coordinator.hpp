@@ -11,7 +11,7 @@
 
 #include "core/correlated_pair.hpp"
 #include "lb/strategy.hpp"
-#include "qnet/broker.hpp"
+#include "qnet/config.hpp"
 
 namespace ftl::core {
 
@@ -61,10 +61,11 @@ class Coordinator {
   [[nodiscard]] std::unique_ptr<lb::LbStrategy> make_lb_strategy() const;
 
   /// Answers "should I deploy the quantum backend?" for a given supply
-  /// model and request rate, by running the qnet broker simulation.
+  /// model (fresh-pair visibility is supply.source_visibility) and request
+  /// rate, by running qnet::simulate_pair_supply.
   [[nodiscard]] static ProvisioningReport provision(
-      const qnet::QnetConfig& supply, double source_visibility,
-      double request_rate_hz, double sim_duration_s, std::uint64_t seed);
+      const qnet::QnetConfig& supply, double request_rate_hz,
+      double sim_duration_s, std::uint64_t seed);
 
  private:
   PairConfig cfg_;

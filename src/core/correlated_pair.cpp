@@ -1,5 +1,6 @@
 #include "core/correlated_pair.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "qnet/decoherence.hpp"
@@ -28,15 +29,17 @@ CorrelatedPair::CorrelatedPair(const PairConfig& cfg)
              cfg.detector_efficiency <= 1.0);
   if (cfg_.supply) {
     FTL_ASSERT(cfg_.round_rate_hz > 0.0);
-    next_pair_time_s_ = rng_.exponential(cfg_.supply->pair_rate_hz);
-    // Never consume a pair that has decohered below the classical
-    // strategy's value — it would make "quantum" rounds worse than the
-    // fallback.
-    effective_storage_s_ = std::min(
-        cfg_.supply->max_storage_s,
+    qnet::LiveBrokerConfig broker_cfg;
+    broker_cfg.qnet = *cfg_.supply;
+    broker_cfg.qnet.source_visibility = cfg_.visibility;
+    const double window_s = std::min(
+        broker_cfg.qnet.max_storage_s,
         qnet::useful_storage_window_s(cfg_.visibility,
-                                      cfg_.supply->memory_t1_s,
-                                      cfg_.supply->memory_t2_s));
+                                      broker_cfg.qnet.memory_t1_s,
+                                      broker_cfg.qnet.memory_t2_s));
+    if (window_s > 0.0) {
+      broker_ = std::make_unique<qnet::LiveBroker>(broker_cfg, rng_.next_u64());
+    }
   }
   begin_round();
 }
@@ -52,36 +55,19 @@ void CorrelatedPair::begin_round() {
   }
 
   if (cfg_.supply) {
-    const qnet::QnetConfig& q = *cfg_.supply;
-    // Advance physical time to this round and stream pair deliveries into
-    // bounded memory (freshest-first consumption; see qnet::broker for the
-    // event-driven version of the same model). Generation happens at the
-    // source; a pair is usable only after its propagation delay.
+    // Advance physical time to this round and take the freshest live pair
+    // from the pool; none means a classical fallback round.
     sim_time_s_ += rng_.exponential(cfg_.round_rate_hz);
-    const double deliver_p = q.pair_delivery_probability();
-    while (next_pair_time_s_ <= sim_time_s_) {
-      if (rng_.bernoulli(deliver_p)) {
-        if (memory_.size() >= q.memory_slots) memory_.pop_front();
-        memory_.push_back(next_pair_time_s_ + q.propagation_delay_s());
-      }
-      next_pair_time_s_ += rng_.exponential(q.pair_rate_hz);
-    }
-    // Evict pairs that decohered past usefulness.
-    while (!memory_.empty() &&
-           sim_time_s_ - memory_.front() > effective_storage_s_) {
-      memory_.pop_front();
-    }
-    // Freshest *arrived* pair: scan from the back past in-flight pairs.
-    auto it = memory_.rbegin();
-    while (it != memory_.rend() && *it > sim_time_s_) ++it;
-    if (it == memory_.rend()) {
-      round_is_quantum_ = false;  // nothing usable: classical fallback
+    const qnet::LiveBroker::Decision d =
+        broker_ ? broker_->decide(0, 0, sim_time_s_)
+                : qnet::LiveBroker::Decision{};
+    if (!d.quantum) {
+      round_is_quantum_ = false;
       return;
     }
-    const double age_s = sim_time_s_ - *it;
-    memory_.erase(std::next(it).base());
     round_state_ = qnet::pair_state_after_storage(
-        cfg_.visibility, age_s, age_s, q.memory_t1_s, q.memory_t2_s);
+        cfg_.visibility, d.pair_age_s, d.pair_age_s,
+        cfg_.supply->memory_t1_s, cfg_.supply->memory_t2_s);
   } else {
     round_state_ = qcore::Density::werner(cfg_.visibility);
   }

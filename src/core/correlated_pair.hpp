@@ -11,17 +11,19 @@
 // state; the first caller's outcome distribution provably cannot depend on
 // the other endpoint's input (no-signaling), and call order does not change
 // the joint distribution. Pair supply can optionally be rationed through a
-// qnet::QnetConfig — rounds without a delivered pair fall back to the best
-// classical strategy, with visibility degraded by storage decoherence.
+// qnet::QnetConfig, served by a one-source qnet::LiveBroker pool — rounds
+// without a live pair fall back to the best classical strategy, and a
+// consumed pair's visibility is degraded by its storage age.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 
 #include "games/chsh.hpp"
 #include "qcore/density.hpp"
 #include "qnet/config.hpp"
+#include "qnet/live_broker.hpp"
 #include "util/rng.hpp"
 
 namespace ftl::core {
@@ -41,12 +43,13 @@ enum class Backend : std::uint8_t {
 
 struct PairConfig {
   Backend backend = Backend::kQuantum;
-  /// Visibility of fresh pairs for the quantum backend.
+  /// Visibility of fresh pairs for the quantum backend. This is the single
+  /// visibility setting: it overrides `supply->source_visibility`.
   double visibility = 1.0;
   /// If set, pair availability and storage age are modelled: each round
-  /// consumes one entangled pair if available (Poisson supply, lossy fiber,
-  /// bounded decohering memory); otherwise the round falls back to
-  /// kClassicalShared.
+  /// consumes the freshest live pair of a one-source qnet::LiveBroker
+  /// (Poisson supply, lossy fiber, bounded decohering memory) if there is
+  /// one; otherwise the round falls back to kClassicalShared.
   std::optional<qnet::QnetConfig> supply;
   /// Mean rounds per second, used only with `supply` to convert rounds to
   /// physical time.
@@ -95,13 +98,11 @@ class CorrelatedPair {
   std::optional<qcore::Density> round_state_;
   int shared_bit_ = 0;  // classical fallback shared randomness
   double sim_time_s_ = 0.0;
-  double next_pair_time_s_ = 0.0;
-  /// Arrival times (at the QNICs) of pairs generated so far, oldest first.
-  /// May include pairs still in flight (arrival > now).
-  std::deque<double> memory_;
-  /// Storage limit clamped to the window in which a stored pair still beats
-  /// the classical strategy (computed once from T1/T2/visibility).
-  double effective_storage_s_ = 0.0;
+  /// Pair pool of the `supply` model, stepped to sim_time_s_ each round.
+  /// Null without a supply, and when `visibility` leaves no useful storage
+  /// window (no pair would ever beat the fallback, so every round falls
+  /// back).
+  std::unique_ptr<qnet::LiveBroker> broker_;
 };
 
 }  // namespace ftl::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
 
 namespace ftl::qnet {
@@ -43,7 +44,7 @@ LiveBroker::LiveBroker(const LiveBrokerConfig& cfg, std::uint64_t seed)
   FTL_ASSERT_MSG(max_storage_s_ > 0.0,
                  "source visibility too low for any quantum advantage");
   util::Rng master(seed);
-  const std::size_t slots = cfg_.slots_per_source();
+  const std::size_t slots = cfg_.qnet.memory_slots;
   sources_.reserve(cfg.sources);
   for (std::size_t i = 0; i < cfg.sources; ++i) {
     auto s = std::make_unique<Source>();
@@ -244,6 +245,22 @@ LiveBrokerStats LiveBroker::stats() const {
     out.win_sum += s.win_sum;
   }
   return out;
+}
+
+LiveBrokerStats simulate_pair_supply(const QnetConfig& cfg,
+                                     double request_rate_hz, double duration_s,
+                                     util::Rng& rng) {
+  FTL_ASSERT(request_rate_hz > 0.0);
+  const obs::ScopedSpan span("qnet.simulate_pair_supply", "qnet");
+  LiveBrokerConfig broker_cfg;
+  broker_cfg.qnet = cfg;
+  LiveBroker broker(broker_cfg, rng.next_u64());
+  for (double t = rng.exponential(request_rate_hz); t <= duration_s;
+       t += rng.exponential(request_rate_hz)) {
+    (void)broker.decide(0, 0, t);
+  }
+  broker.produce_until(0, duration_s);
+  return broker.stats();
 }
 
 }  // namespace ftl::qnet

@@ -1,12 +1,14 @@
-// Concurrent live pair broker: the serving-path counterpart of
-// simulate_pair_supply.
+// The pair-supply model: per-source pools of entangled pairs fed by the
+// continuous stream of Figure 2. This is the only implementation of the
+// supply physics in the library; simulate_pair_supply (below), the
+// provisioning report and core::CorrelatedPair are thin drivers over it.
 //
-// Where the batch broker replays Figure 2 inside a discrete-event engine,
-// LiveBroker holds real per-source pair pools that a producer advances
-// continuously (Poisson emission, fiber loss, propagation delay) while any
-// number of request threads consume pairs freshest-first. Expiry-aware
-// eviction drops pairs whose storage age has left the useful T1/T2 window
-// (the WinCurve math), admission control bounds the number of in-flight
+// Each source emits pairs as a Poisson process; each pair traverses a lossy
+// fiber and is resolved when it arrives, so the pool only ever holds pairs
+// that have landed. Bounded QNIC slots drop the oldest pair when full,
+// expiry-aware eviction drops pairs whose storage age has left the useful
+// T1/T2 window (the WinCurve math), and requests consume pairs
+// freshest-first. Admission control bounds the number of in-flight
 // decisions, and every event feeds `qnet.live.*` metrics so a scrape of the
 // daemon shows hit fraction, consumed age, and fallback rate live.
 //
@@ -38,20 +40,15 @@
 namespace ftl::qnet {
 
 struct LiveBrokerConfig {
-  /// Physics of each source: emission rate, fiber, visibility, T1/T2.
+  /// Physics of each source: emission rate, fiber, visibility, T1/T2, and
+  /// the QNIC slots of its pool (qnet.memory_slots).
   QnetConfig qnet;
   /// Independent pair sources (one pool, RNG stream, and emission process
   /// each). A deployment maps each coordinating endpoint pair to a source.
   std::size_t sources = 1;
-  /// QNIC slots per source pool; 0 means use qnet.memory_slots.
-  std::size_t pool_slots = 0;
   /// Admission bound: decisions in flight beyond this are rejected
   /// (bounded-queue backpressure instead of unbounded latency collapse).
   std::size_t max_pending = 1 << 16;
-
-  [[nodiscard]] std::size_t slots_per_source() const {
-    return pool_slots == 0 ? qnet.memory_slots : pool_slots;
-  }
 };
 
 /// Aggregated broker statistics (sum over sources at a point in time).
@@ -85,10 +82,11 @@ struct LiveBrokerStats {
                          : win_sum / static_cast<double>(requests);
   }
 
-  /// Same boundary identity as the batch BrokerStats: delivered pairs are
-  /// consumed, expired, evicted, or still pooled. (Emission and arrival
-  /// are resolved atomically in the live model, so there is no in-flight
-  /// term: a pair "generated" here has already met its fiber fate.)
+  /// Exact pair-conservation identity at the stats boundary: every
+  /// generated pair was lost in the fiber or delivered, and every delivered
+  /// pair was consumed, expired, evicted, or is still pooled. (Emission and
+  /// arrival are resolved together, so there is no in-flight term: a pair
+  /// "generated" here has already met its fiber fate.)
   [[nodiscard]] bool conservation_holds() const {
     return pairs_generated ==
                pairs_lost_fiber + pairs_delivered &&
@@ -232,5 +230,16 @@ class LiveBroker {
   obs::Histogram& m_chsh_win_;
   obs::Gauge& m_occupancy_hw_;
 };
+
+/// Simulates `duration_s` of one source's pair supply against Poisson
+/// request arrivals at `request_rate_hz` (a request = one simultaneous
+/// decision by the two endpoints, consuming one pair), on a stepped
+/// one-source LiveBroker seeded from `rng`. Answers the provisioning
+/// question of §3: what pair rate and storage budget keep the quantum
+/// advantage alive for a given request rate?
+[[nodiscard]] LiveBrokerStats simulate_pair_supply(const QnetConfig& cfg,
+                                                   double request_rate_hz,
+                                                   double duration_s,
+                                                   util::Rng& rng);
 
 }  // namespace ftl::qnet

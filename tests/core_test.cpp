@@ -131,6 +131,29 @@ TEST(CorrelatedPair, AbundantSupplyMostlyQuantum) {
             0.95);
 }
 
+TEST(CorrelatedPair, SupplyWithUselessVisibilityAlwaysFallsBack) {
+  // Below 1/sqrt2 even a fresh pair loses to the classical strategy, so the
+  // useful storage window is zero (a LiveBroker refuses that config). The
+  // pair still constructs, and every round falls back, however rich the
+  // supply.
+  PairConfig cfg;
+  cfg.backend = Backend::kQuantum;
+  cfg.visibility = 0.6;
+  qnet::QnetConfig supply;
+  supply.pair_rate_hz = 1e7;
+  cfg.supply = supply;
+  cfg.round_rate_hz = 1e4;
+  cfg.seed = 17;
+  CorrelatedPair pair(cfg);
+  util::Rng rng(18);
+  const int rounds = 4000;
+  const double win = run_rounds(pair, rounds, rng);
+  EXPECT_EQ(pair.stats().quantum_rounds, 0u);
+  EXPECT_EQ(pair.stats().fallback_rounds, static_cast<std::uint64_t>(rounds));
+  // The classical fallback's 3/4, within 4 binomial standard errors.
+  EXPECT_NEAR(win, 0.75, 4.0 * std::sqrt(0.75 * 0.25 / rounds));
+}
+
 TEST(Coordinator, EndpointsAreWiredToSamePair) {
   Coordinator coord(PairConfig{});
   auto [a, b] = coord.make_pair();
@@ -185,7 +208,7 @@ TEST(Coordinator, ProvisioningReportsWorthwhileWhenSupplied) {
   supply.pair_rate_hz = 1e6;
   supply.fiber_km = 0.2;
   const ProvisioningReport r =
-      Coordinator::provision(supply, 0.98, 1e4, 0.5, 17);
+      Coordinator::provision(supply, 1e4, 0.5, 17);
   EXPECT_GT(r.pair_hit_fraction, 0.9);
   EXPECT_TRUE(r.quantum_worthwhile());
 }
@@ -194,7 +217,7 @@ TEST(Coordinator, ProvisioningDetectsStarvation) {
   qnet::QnetConfig supply;
   supply.pair_rate_hz = 100.0;  // hopeless vs 1e4 req/s
   const ProvisioningReport r =
-      Coordinator::provision(supply, 0.98, 1e4, 0.5, 18);
+      Coordinator::provision(supply, 1e4, 0.5, 18);
   EXPECT_LT(r.pair_hit_fraction, 0.05);
   EXPECT_LT(r.effective_win_probability, 0.76);
 }

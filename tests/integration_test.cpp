@@ -11,6 +11,7 @@
 #include "lb/simulator.hpp"
 #include "qcore/gates.hpp"
 #include "qnet/decoherence.hpp"
+#include "qnet/live_broker.hpp"
 #include "util/rng.hpp"
 
 namespace ftl {
@@ -115,32 +116,81 @@ TEST(Integration, ChshValueConsistentAcrossFourImplementations) {
   EXPECT_NEAR(closed, source_win, 1e-10);
 }
 
+/// Four binomial standard errors of the difference between two estimates
+/// of the same probability `p`, one over `n_a` trials and one over `n_b`.
+double binomial_4sigma(double p, double n_a, double n_b) {
+  return 4.0 * std::sqrt(p * (1.0 - p) * (1.0 / n_a + 1.0 / n_b));
+}
+
+/// Plays `rounds` CorrelatedPair rounds with uniform random inputs.
+core::PairStats play(core::CorrelatedPair& pair, int rounds,
+                     std::uint64_t seed) {
+  util::Rng rng(seed);
+  for (int i = 0; i < rounds; ++i) {
+    (void)pair.decide(0, rng.bernoulli(0.5) ? 1 : 0);
+    (void)pair.decide(1, rng.bernoulli(0.5) ? 1 : 0);
+  }
+  return pair.stats();
+}
+
 TEST(Integration, ProvisioningConsistentWithPairStats) {
-  // Coordinator::provision and CorrelatedPair's online supply model agree
-  // qualitatively on hit fraction for the same parameters.
+  // Coordinator::provision and CorrelatedPair's online supply model run the
+  // same pool, so they agree on hit fraction within sampling error.
   qnet::QnetConfig supply;
   supply.pair_rate_hz = 2e4;
   const double request_rate = 1e4;
 
   const auto report =
-      core::Coordinator::provision(supply, 0.98, request_rate, 1.0, 31);
+      core::Coordinator::provision(supply, request_rate, 1.0, 31);
 
   core::PairConfig cfg;
   cfg.backend = core::Backend::kQuantum;
-  cfg.visibility = 0.98;
+  cfg.visibility = supply.source_visibility;
   cfg.supply = supply;
   cfg.round_rate_hz = request_rate;
   cfg.seed = 32;
   core::CorrelatedPair pair(cfg);
-  util::Rng rng(33);
-  for (int i = 0; i < 20000; ++i) {
-    (void)pair.decide(0, rng.bernoulli(0.5) ? 1 : 0);
-    (void)pair.decide(1, rng.bernoulli(0.5) ? 1 : 0);
-  }
-  const double online_hit =
-      static_cast<double>(pair.stats().quantum_rounds) /
-      static_cast<double>(pair.stats().rounds);
-  EXPECT_NEAR(online_hit, report.pair_hit_fraction, 0.12);
+  const int rounds = 20000;
+  const core::PairStats stats = play(pair, rounds, 33);
+  const double online_hit = static_cast<double>(stats.quantum_rounds) /
+                            static_cast<double>(stats.rounds);
+  EXPECT_NEAR(online_hit, report.pair_hit_fraction,
+              binomial_4sigma(report.pair_hit_fraction, rounds,
+                              request_rate * 1.0));
+}
+
+TEST(Integration, CorrelatedPairMatchesPairSupplyOverLongFiber) {
+  // 25 km of fiber: 125 us of propagation delay and a 10% pair delivery
+  // probability, so at 1e6 pairs/s about 12 delivered pairs are in the
+  // fiber at any moment, more than the 8 QNIC slots. A pair still in the
+  // fiber must neither take a slot nor evict a pair that has arrived.
+  qnet::QnetConfig supply;
+  supply.pair_rate_hz = 1e6;
+  supply.fiber_km = 25.0;
+  const double request_rate = 1e4;
+  const double duration_s = 2.0;
+  util::Rng sim_rng(41);
+  const qnet::LiveBrokerStats sim =
+      qnet::simulate_pair_supply(supply, request_rate, duration_s, sim_rng);
+
+  core::PairConfig cfg;
+  cfg.backend = core::Backend::kQuantum;
+  cfg.visibility = supply.source_visibility;
+  cfg.supply = supply;
+  cfg.round_rate_hz = request_rate;
+  cfg.seed = 42;
+  core::CorrelatedPair pair(cfg);
+  const int rounds = 20000;
+  const core::PairStats stats = play(pair, rounds, 43);
+  const double n_sim = static_cast<double>(sim.requests);
+
+  const double hit = static_cast<double>(stats.quantum_rounds) / rounds;
+  EXPECT_GT(sim.hit_fraction(), 0.5);
+  EXPECT_NEAR(hit, sim.hit_fraction(),
+              binomial_4sigma(sim.hit_fraction(), rounds, n_sim));
+  const double win = static_cast<double>(stats.wins) / rounds;
+  EXPECT_NEAR(win, sim.mean_chsh_win(),
+              binomial_4sigma(sim.mean_chsh_win(), rounds, n_sim));
 }
 
 TEST(Integration, MixedStrategyClusterOrdering) {

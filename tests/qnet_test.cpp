@@ -1,11 +1,10 @@
-#include "qnet/broker.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "qnet/config.hpp"
 #include "qnet/decoherence.hpp"
+#include "qnet/live_broker.hpp"
 #include "qnet/timing.hpp"
 #include "util/rng.hpp"
 
@@ -89,27 +88,26 @@ TEST(Broker, ConservationOfPairs) {
   cfg.pair_rate_hz = 5e4;
   cfg.fiber_km = 0.5;
   util::Rng rng(1);
-  const BrokerStats s = simulate_pair_supply(cfg, 1e4, 0.5, rng);
+  const LiveBrokerStats s = simulate_pair_supply(cfg, 1e4, 0.5, rng);
   EXPECT_GT(s.requests, 0u);
   EXPECT_GE(s.pairs_generated, s.pairs_delivered);
-  EXPECT_LE(s.pair_hits, s.requests);
-  EXPECT_LE(s.pair_hits, s.pairs_delivered);
+  EXPECT_LE(s.hits, s.requests);
+  EXPECT_LE(s.hits, s.pairs_delivered);
 }
 
 TEST(Broker, ConservationIsExactAtStatsBoundary) {
-  // Every generated pair must be accounted for, including pairs still
-  // traversing fiber at duration_s and live pairs left in memory — the two
-  // populations the stats used to silently leak.
+  // Every generated pair must be accounted for, including live pairs left
+  // in memory at duration_s.
   for (std::uint64_t seed : {1u, 7u, 23u, 99u}) {
     QnetConfig cfg;
     cfg.pair_rate_hz = 5e4;
-    cfg.fiber_km = 25.0;  // long fiber: real loss and a fat in-flight window
+    cfg.fiber_km = 25.0;  // long fiber: real loss and 125 us of delay
     util::Rng rng(seed);
-    const BrokerStats s = simulate_pair_supply(cfg, 1e4, 0.2, rng);
-    EXPECT_EQ(s.pairs_generated,
-              s.pairs_lost_fiber + s.pairs_in_flight + s.pairs_delivered);
-    EXPECT_EQ(s.pairs_delivered, s.pair_hits + s.pairs_expired +
+    const LiveBrokerStats s = simulate_pair_supply(cfg, 1e4, 0.2, rng);
+    EXPECT_EQ(s.pairs_generated, s.pairs_lost_fiber + s.pairs_delivered);
+    EXPECT_EQ(s.pairs_delivered, s.hits + s.pairs_expired +
                                      s.pairs_dropped_full + s.pairs_in_memory);
+    EXPECT_EQ(s.requests, s.hits + s.fallbacks);
     EXPECT_TRUE(s.conservation_holds());
     EXPECT_GT(s.pairs_lost_fiber, 0u);  // 25 km at 0.2 dB/km loses pairs
   }
@@ -120,19 +118,19 @@ TEST(Broker, AbundantSupplyGivesHighHitRate) {
   cfg.pair_rate_hz = 1e6;  // 100x the request rate
   cfg.fiber_km = 0.1;
   util::Rng rng(2);
-  const BrokerStats s = simulate_pair_supply(cfg, 1e4, 0.5, rng);
+  const LiveBrokerStats s = simulate_pair_supply(cfg, 1e4, 0.5, rng);
   EXPECT_GT(s.hit_fraction(), 0.95);
-  EXPECT_GT(s.mean_chsh_win, 0.80);
+  EXPECT_GT(s.mean_chsh_win(), 0.80);
 }
 
 TEST(Broker, ScarceSupplyDegradesGracefully) {
   QnetConfig cfg;
   cfg.pair_rate_hz = 1e3;  // 10x fewer pairs than requests
   util::Rng rng(3);
-  const BrokerStats s = simulate_pair_supply(cfg, 1e4, 0.5, rng);
+  const LiveBrokerStats s = simulate_pair_supply(cfg, 1e4, 0.5, rng);
   EXPECT_LT(s.hit_fraction(), 0.3);
   // Fallback floor: never below classical.
-  EXPECT_GE(s.mean_chsh_win, 0.75 - 1e-9);
+  EXPECT_GE(s.mean_chsh_win(), 0.75 - 1e-9);
 }
 
 TEST(Broker, HitRateIncreasesWithPairRate) {
@@ -142,7 +140,7 @@ TEST(Broker, HitRateIncreasesWithPairRate) {
     QnetConfig cfg;
     cfg.pair_rate_hz = rate;
     util::Rng r = rng.split(static_cast<std::uint64_t>(rate));
-    const BrokerStats s = simulate_pair_supply(cfg, 1e4, 0.3, r);
+    const LiveBrokerStats s = simulate_pair_supply(cfg, 1e4, 0.3, r);
     EXPECT_GT(s.hit_fraction(), prev);
     prev = s.hit_fraction();
   }
@@ -152,9 +150,9 @@ TEST(Broker, ConsumedAgeWithinStorageWindow) {
   QnetConfig cfg;
   cfg.pair_rate_hz = 1e5;
   util::Rng rng(5);
-  const BrokerStats s = simulate_pair_supply(cfg, 1e4, 0.3, rng);
-  EXPECT_GE(s.mean_consumed_age_s, 0.0);
-  EXPECT_LE(s.mean_consumed_age_s, cfg.max_storage_s);
+  const LiveBrokerStats s = simulate_pair_supply(cfg, 1e4, 0.3, rng);
+  EXPECT_GE(s.mean_consumed_age_s(), 0.0);
+  EXPECT_LE(s.mean_consumed_age_s(), cfg.max_storage_s);
 }
 
 TEST(Timing, QuantumBeatsClassicalRtt) {

@@ -1,17 +1,20 @@
 // Statistical-equivalence oracle for the pair-supply model.
 //
-// kFrozen holds the means and 99% confidence intervals of the
-// discrete-event simulate_pair_supply over a (pair rate x request rate x
-// T2) grid. Each grid point is 20 runs, seeds 1..20 (util::Rng(seed) passed
-// as the caller's rng), default QnetConfig otherwise, each run lasting
-// min(2000 / request_rate, 1e5 / pair_rate) seconds. The table is printed
-// in the format below by
+// kFrozen holds the means and 99% confidence intervals of the former
+// discrete-event simulate_pair_supply (an event-queue simulation, before
+// the function became a driver over LiveBroker) over a (pair rate x request
+// rate x T2) grid. Each grid point is 20 runs, seeds 1..20 (util::Rng(seed)
+// passed as the caller's rng), default QnetConfig otherwise, each run
+// lasting min(2000 / request_rate, 1e5 / pair_rate) seconds. The table was
+// generated at commit 54f7de0, where this file still called the
+// discrete-event model, by
 //
 //   FTL_SUPPLY_EQUIV_PRINT=1 ./supply_equivalence_test
 //
-// The test recomputes the same statistics from the current model and
-// requires every interval to overlap its frozen counterpart, and checks the
-// exact pair-conservation identities on every run.
+// which prints the current model's table in the same format. The test
+// recomputes the statistics from the current model, requires every
+// interval to overlap its frozen counterpart, and checks the exact
+// pair-conservation identities on every run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +23,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "qnet/broker.hpp"
+#include "qnet/live_broker.hpp"
 #include "util/rng.hpp"
 
 namespace ftl::qnet {
@@ -91,17 +94,17 @@ GridPoint measure(double pair_rate_hz, double request_rate_hz, double t2_s) {
   std::vector<double> hits, ages, wins;
   for (int seed = 1; seed <= kSeeds; ++seed) {
     util::Rng rng(static_cast<std::uint64_t>(seed));
-    const BrokerStats s =
+    const LiveBrokerStats s =
         simulate_pair_supply(cfg, request_rate_hz, duration_s, rng);
-    EXPECT_EQ(s.pairs_generated,
-              s.pairs_lost_fiber + s.pairs_in_flight + s.pairs_delivered);
-    EXPECT_EQ(s.pairs_delivered, s.pair_hits + s.pairs_expired +
+    EXPECT_EQ(s.pairs_generated, s.pairs_lost_fiber + s.pairs_delivered);
+    EXPECT_EQ(s.pairs_delivered, s.hits + s.pairs_expired +
                                      s.pairs_dropped_full + s.pairs_in_memory);
+    EXPECT_EQ(s.requests, s.hits + s.fallbacks);
     EXPECT_TRUE(s.conservation_holds());
-    EXPECT_GT(s.pair_hits, 0u) << "seed " << seed;
+    EXPECT_GT(s.hits, 0u) << "seed " << seed;
     hits.push_back(s.hit_fraction());
-    ages.push_back(s.mean_consumed_age_s);
-    wins.push_back(s.mean_chsh_win);
+    ages.push_back(s.mean_consumed_age_s());
+    wins.push_back(s.mean_chsh_win());
   }
   return {pair_rate_hz,    request_rate_hz, t2_s, interval(hits),
           interval(ages), interval(wins)};

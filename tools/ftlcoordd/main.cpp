@@ -32,7 +32,7 @@ void print_usage(const char* prog) {
                "                         also serves GET /profile?seconds=N&hz=H — an on-demand\n"
                "                         CPU profile as FlameGraph folded stacks\n"
                "  --sources N            independent pair sources (default 1)\n"
-               "  --slots N              QNIC slots per source (default: qnet memory_slots)\n"
+               "  --slots N              QNIC slots per source (default: 8)\n"
                "  --max-pending N        admission bound on in-flight decisions (default 65536)\n"
                "  --pair-rate HZ         source pair rate, pairs/s (default 1e5)\n"
                "  --fiber-km KM          one-way fiber length (default 0.5)\n"
@@ -69,7 +69,8 @@ int main(int argc, char** argv) {
   cfg.producer_period =
       std::chrono::microseconds(args.get("producer-period-us", 200LL));
   cfg.broker.sources = args.get("sources", std::size_t{1});
-  cfg.broker.pool_slots = args.get("slots", std::size_t{0});
+  cfg.broker.qnet.memory_slots =
+      args.get("slots", cfg.broker.qnet.memory_slots);
   cfg.broker.max_pending = args.get("max-pending", std::size_t{1} << 16);
   cfg.broker.qnet.pair_rate_hz = args.get("pair-rate", 1.0e5);
   cfg.broker.qnet.fiber_km = args.get("fiber-km", 0.5);
