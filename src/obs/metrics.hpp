@@ -16,7 +16,7 @@
 //    genuinely empty.
 //
 // Naming scheme: dotted lowercase `subsystem.object.metric`, e.g.
-// `lb.queue_depth`, `qnet.pairs.generated`, `games.seesaw.rounds`.
+// `lb.queue_depth`, `qnet.live.pairs.generated`, `games.seesaw.rounds`.
 // Distinguish sub-populations with labels, not name suffixes:
 // `lb.chsh.rounds_won{source=quantum-chsh(v=1)}`.
 #pragma once

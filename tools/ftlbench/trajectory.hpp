@@ -8,7 +8,7 @@
 //     "entries": [
 //       {"git_rev": "...", "utc": "2026-08-06T12:00:00Z", "seed": 42,
 //        "wall_time_s": 1.23, "cpu_time_s": 1.20,
-//        "counters": {"qnet.pairs.delivered": 5312605, ...}},
+//        "counters": {"qnet.live.pairs.delivered": 5303331, ...}},
 //       ...
 //     ]
 //   }
