@@ -14,7 +14,7 @@
 
 #include "bench_common.hpp"
 #include "correlate/decision_source.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -23,29 +23,23 @@ using namespace ftl;
 
 std::uint64_t g_seed = 4242;  // override with --seed
 
-lb::LbConfig base_cfg(std::size_t servers) {
-  lb::LbConfig cfg;
+double run_queue(const lb::StrategyFactory& strategy, std::size_t servers,
+                 std::size_t batch = 1) {
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = 100;
   cfg.num_servers = servers;
+  cfg.batch_size = batch;
   cfg.warmup_steps = 800;
   cfg.measure_steps = 3000;
   cfg.seed = g_seed;
-  return cfg;
-}
-
-double run_queue(lb::LbStrategy& s, std::size_t servers,
-                 std::size_t batch = 1) {
-  lb::LbConfig cfg = base_cfg(servers);
-  cfg.batch_size = batch;
-  return run_lb_sim(cfg, s).mean_queue_length;
+  return lb::run_sharded_lb_sim(cfg, nullptr, strategy).mean_queue_length;
 }
 
 void BM_DedicatedFractionSweep(benchmark::State& state) {
   const double frac = static_cast<double>(state.range(0)) / 10.0;
   double q = 0.0;
   for (auto _ : state) {
-    lb::DedicatedServersStrategy strat(frac);
-    q = run_queue(strat, 86);
+    q = run_queue(lb::strategy_factory<lb::DedicatedServersStrategy>(frac), 86);
   }
   state.counters["c_fraction"] = frac;
   state.counters["avg_queue_len"] = q;
@@ -59,9 +53,8 @@ void BM_MixedClassicalSweep(benchmark::State& state) {
   const double p_same = static_cast<double>(state.range(0)) / 10.0;
   double q = 0.0;
   for (auto _ : state) {
-    lb::PairedStrategy strat(
-        std::make_unique<correlate::MixedClassicalSource>(p_same));
-    q = run_queue(strat, 86);
+    q = run_queue(lb::paired_factory<correlate::MixedClassicalSource>(p_same),
+                  86);
   }
   state.counters["p_same"] = p_same;
   state.counters["avg_queue_len"] = q;
@@ -75,9 +68,9 @@ void BM_LocalBatching(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   double q = 0.0;
   for (auto _ : state) {
-    lb::LocalBatchingStrategy strat;
     // Scale servers so the load stays ~1.16 regardless of batch size.
-    q = run_queue(strat, 86 * batch, batch);
+    q = run_queue(lb::strategy_factory<lb::LocalBatchingStrategy>(),
+                  86 * batch, batch);
   }
   state.counters["batch"] = static_cast<double>(batch);
   state.counters["avg_queue_len"] = q;
@@ -107,38 +100,30 @@ int main(int argc, char** argv) {
   std::cout << "\nCaveats ablation at load " << 100.0 / servers
             << " (mean queue length; lower is better):\n";
   util::Table t({"strategy", "avg_queue_len"});
-  {
-    lb::RandomStrategy s;
-    t.add_row({std::string("classical random"), run_queue(s, servers)});
-  }
-  {
-    lb::RoundRobinStrategy s;
-    t.add_row({std::string("round robin"), run_queue(s, servers)});
-  }
-  {
-    lb::PowerOfTwoStrategy s;
-    t.add_row({std::string("power-of-two (needs queue info)"),
-               run_queue(s, servers)});
-  }
+  t.add_row({std::string("classical random"),
+             run_queue(lb::strategy_factory<lb::RandomStrategy>(), servers)});
+  t.add_row({std::string("round robin"),
+             run_queue(lb::strategy_factory<lb::RoundRobinStrategy>(),
+                       servers)});
+  t.add_row({std::string("power-of-two (needs queue info)"),
+             run_queue(lb::strategy_factory<lb::PowerOfTwoStrategy>(),
+                       servers)});
   for (double f : {0.3, 0.4, 0.5, 0.6}) {
-    lb::DedicatedServersStrategy s(f);
     t.add_row({"dedicated servers f=" + std::to_string(f).substr(0, 3),
-               run_queue(s, servers)});
+               run_queue(lb::strategy_factory<lb::DedicatedServersStrategy>(f),
+                         servers)});
   }
   for (double p : {0.0, 0.25, 0.5}) {
-    lb::PairedStrategy s(std::make_unique<correlate::MixedClassicalSource>(p));
     t.add_row({"classical mixture p_same=" + std::to_string(p).substr(0, 4),
-               run_queue(s, servers)});
+               run_queue(lb::paired_factory<correlate::MixedClassicalSource>(p),
+                         servers)});
   }
-  {
-    lb::PairedStrategy s(std::make_unique<correlate::ChshSource>(1.0));
-    t.add_row({std::string("quantum CHSH"), run_queue(s, servers)});
-  }
-  {
-    lb::PairedStrategy s(std::make_unique<correlate::OmniscientOracleSource>());
-    t.add_row({std::string("omniscient (testbed cheat)"),
-               run_queue(s, servers)});
-  }
+  t.add_row({std::string("quantum CHSH"),
+             run_queue(lb::paired_factory<correlate::ChshSource>(1.0),
+                       servers)});
+  t.add_row({std::string("omniscient (testbed cheat)"),
+             run_queue(lb::paired_factory<correlate::OmniscientOracleSource>(),
+                       servers)});
   t.print(std::cout);
 
   std::cout << "\nLocal batching (multiple requests per RTT shrink the "
@@ -146,11 +131,11 @@ int main(int argc, char** argv) {
   util::Table bt({"batch size", "local batching", "quantum paired (batch 1 "
                   "equivalent load)"});
   for (std::size_t batch : {1u, 2u, 4u, 8u}) {
-    lb::LocalBatchingStrategy local;
-    lb::PairedStrategy quantum(std::make_unique<correlate::ChshSource>(1.0));
     bt.add_row({static_cast<long long>(batch),
-                run_queue(local, servers * batch, batch),
-                run_queue(quantum, servers)});
+                run_queue(lb::strategy_factory<lb::LocalBatchingStrategy>(),
+                          servers * batch, batch),
+                run_queue(lb::paired_factory<correlate::ChshSource>(1.0),
+                          servers)});
   }
   bt.print(std::cout);
   return 0;

@@ -7,12 +7,12 @@
 // upper bound and the paired-classical ablation are included, and a second
 // sweep checks the paper's note that the result depends on N/M, not N.
 //
-// Scaled configurations: the sharded engine runs the same physics at
+// Scaled configurations: the same engine, sharded, runs the same physics at
 // 10^4–10^6 servers (ROADMAP's "millions of servers" regime). Extra flags,
 // stripped before google-benchmark sees them:
 //   --shards <n>   shard count for the scaled section (0 = one per core)
 //   --servers <m>  server count for the scaled summary table (default 1e5)
-// Scaled runs record lb.sharded.* counters; requests/s lands in the
+// Every run records the lb.* counters; requests/s lands in the
 // BENCH_fig4_load_balancing.json trajectory via ftlbench run.
 #include <benchmark/benchmark.h>
 
@@ -20,20 +20,15 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
-#include <memory>
 
 #include "bench_common.hpp"
-#include "correlate/decision_source.hpp"
 #include "lb/sharded_simulator.hpp"
-#include "lb/simulator.hpp"
 #include "sim/sharded.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-using ftl::lb::LbConfig;
-using ftl::lb::LbResult;
 using ftl::lb::ShardedLbConfig;
 using ftl::lb::ShardedLbResult;
 
@@ -46,15 +41,22 @@ constexpr std::size_t kBalancers = 100;
 constexpr std::size_t kServerSweep[] = {150, 120, 100, 86, 76, 66,
                                         60,  54,  50,  44, 40};
 
-LbConfig base_config(std::size_t servers) {
-  LbConfig cfg;
+/// One unsharded N = 100 cluster playing `source` (cfg.source).
+ShardedLbConfig base_config(std::size_t servers,
+                            const std::string& source = "random") {
+  ShardedLbConfig cfg;
   cfg.num_balancers = kBalancers;
   cfg.num_servers = servers;
   cfg.p_colocate = 0.5;
   cfg.warmup_steps = 1000;
   cfg.measure_steps = 4000;
   cfg.seed = g_seed;
+  cfg.source = source;
   return cfg;
+}
+
+double mean_queue(const ShardedLbConfig& cfg) {
+  return ftl::lb::run_sharded_lb_sim(cfg).mean_queue_length;
 }
 
 std::size_t resolve_shards(std::size_t servers) {
@@ -96,19 +98,11 @@ ShardedLbConfig scaled_config(std::size_t servers, double load,
   return cfg;
 }
 
-std::unique_ptr<ftl::lb::LbStrategy> make_strategy(const std::string& kind) {
-  using namespace ftl;
-  if (kind == "random") return std::make_unique<lb::RandomStrategy>();
-  return std::make_unique<lb::PairedStrategy>(correlate::make_source(kind));
-}
-
-void BM_Fig4(benchmark::State& state, const std::string& kind) {
+void BM_Fig4(benchmark::State& state, const std::string& source) {
   const std::size_t servers = kServerSweep[state.range(0)];
-  LbResult r{};
+  ShardedLbResult r{};
   for (auto _ : state) {
-    const LbConfig cfg = base_config(servers);
-    auto strat = make_strategy(kind);
-    r = ftl::lb::run_lb_sim(cfg, *strat);
+    r = ftl::lb::run_sharded_lb_sim(base_config(servers, source));
   }
   state.counters["load"] = base_config(servers).load();
   state.counters["avg_queue_len"] = r.mean_queue_length;
@@ -218,13 +212,9 @@ int main(int argc, char** argv) {
   ftl::util::Table table({"load N/M", "classical random", "quantum CHSH",
                           "omniscient bound"});
   for (std::size_t m : kServerSweep) {
-    const LbConfig cfg = base_config(m);
-    auto rand_s = make_strategy("random");
-    auto quant_s = make_strategy("quantum-chsh");
-    auto omni_s = make_strategy("omniscient");
-    table.add_row({cfg.load(), ftl::lb::run_lb_sim(cfg, *rand_s).mean_queue_length,
-                   ftl::lb::run_lb_sim(cfg, *quant_s).mean_queue_length,
-                   ftl::lb::run_lb_sim(cfg, *omni_s).mean_queue_length});
+    table.add_row({base_config(m).load(), mean_queue(base_config(m, "random")),
+                   mean_queue(base_config(m, "quantum-chsh")),
+                   mean_queue(base_config(m, "omniscient"))});
   }
   table.print(std::cout);
 
@@ -233,19 +223,16 @@ int main(int argc, char** argv) {
   std::cout << "\nN-independence check (load fixed at ~1.47, quantum):\n";
   ftl::util::Table nt({"N", "M", "avg queue len (quantum)"});
   for (std::size_t n : {40u, 100u, 200u}) {
-    LbConfig cfg = base_config(0);
-    cfg.num_balancers = n;
-    cfg.num_servers = (n * 2 + 1) / 3;  // load ~1.5
-    auto strat = make_strategy("quantum-chsh");
+    ShardedLbConfig cfg = base_config((n * 2 + 1) / 3, "quantum-chsh");
+    cfg.num_balancers = n;  // load ~1.5
     nt.add_row({static_cast<long long>(n),
-                static_cast<long long>(cfg.num_servers),
-                ftl::lb::run_lb_sim(cfg, *strat).mean_queue_length});
+                static_cast<long long>(cfg.num_servers), mean_queue(cfg)});
   }
   nt.print(std::cout);
 
   // Scaled sharded Fig-4: the same physics at 10^4-10^6 servers. These runs
   // always execute (they are plain main() code, not google-benchmark cases),
-  // so ftlbench's trajectory records the lb.sharded.* counters and the
+  // so ftlbench's trajectory records their lb.* counters and the
   // requests/s they imply even under --benchmark_filter=NONE. The largest
   // config honours --servers (default 1e5; pass 1000000 for the full-size
   // sweep) and --shards (default one per core).

@@ -7,8 +7,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "correlate/decision_source.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -17,28 +16,24 @@ using namespace ftl;
 
 std::uint64_t g_seed = 99;  // override with --seed
 
-lb::LbResult run_once(std::size_t servers, lb::ServicePolicy policy,
-                      bool quantum) {
-  lb::LbConfig cfg;
+lb::ShardedLbResult run_once(std::size_t servers, lb::ServicePolicy policy,
+                             bool quantum) {
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = 100;
   cfg.num_servers = servers;
   cfg.policy = policy;
   cfg.warmup_steps = 800;
   cfg.measure_steps = 3000;
   cfg.seed = g_seed;
-  if (quantum) {
-    lb::PairedStrategy strat(std::make_unique<correlate::ChshSource>(1.0));
-    return run_lb_sim(cfg, strat);
-  }
-  lb::RandomStrategy strat;
-  return run_lb_sim(cfg, strat);
+  cfg.source = quantum ? "quantum-chsh" : "random";
+  return lb::run_sharded_lb_sim(cfg);
 }
 
 void BM_Policy(benchmark::State& state, lb::ServicePolicy policy) {
   const std::size_t servers = static_cast<std::size_t>(state.range(0));
   double ratio = 0.0;
-  lb::LbResult rq{};
-  lb::LbResult rc{};
+  lb::ShardedLbResult rq{};
+  lb::ShardedLbResult rc{};
   for (auto _ : state) {
     rq = run_once(servers, policy, true);
     rc = run_once(servers, policy, false);

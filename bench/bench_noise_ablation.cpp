@@ -12,7 +12,7 @@
 
 #include "bench_common.hpp"
 #include "correlate/decision_source.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "qnet/decoherence.hpp"
 #include "qnet/detector.hpp"
 #include "util/table.hpp"
@@ -24,15 +24,15 @@ using namespace ftl;
 std::uint64_t g_seed = 777;  // override with --seed
 
 double lb_queue_at_knee(double visibility) {
-  lb::LbConfig cfg;
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = 100;
   cfg.num_servers = 86;  // load ~1.16
   cfg.warmup_steps = 800;
   cfg.measure_steps = 3000;
   cfg.seed = g_seed;
-  lb::PairedStrategy strat(
-      std::make_unique<correlate::ChshSource>(visibility));
-  return run_lb_sim(cfg, strat).mean_queue_length;
+  cfg.source = "quantum-chsh";
+  cfg.visibility = visibility;
+  return lb::run_sharded_lb_sim(cfg).mean_queue_length;
 }
 
 void BM_WinVsVisibility(benchmark::State& state) {

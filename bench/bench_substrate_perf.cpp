@@ -6,7 +6,7 @@
 #include "bench_common.hpp"
 #include "correlate/decision_source.hpp"
 #include "games/xor_game.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "qcore/density.hpp"
 #include "qcore/eigen.hpp"
 #include "qcore/gates.hpp"
@@ -102,15 +102,15 @@ void BM_ChshSourceDecide(benchmark::State& state) {
 BENCHMARK(BM_ChshSourceDecide);
 
 void BM_LbSimStep(benchmark::State& state) {
-  lb::LbConfig cfg;
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = 100;
   cfg.num_servers = 86;
   cfg.warmup_steps = 0;
   cfg.measure_steps = 200;
   cfg.seed = g_seed + 5;
+  cfg.source = "quantum-chsh";
   for (auto _ : state) {
-    lb::PairedStrategy strat(std::make_unique<correlate::ChshSource>(1.0));
-    benchmark::DoNotOptimize(run_lb_sim(cfg, strat));
+    benchmark::DoNotOptimize(lb::run_sharded_lb_sim(cfg));
   }
   state.SetItemsProcessed(state.iterations() * 200);
 }

@@ -11,7 +11,7 @@
 
 #include "bench_common.hpp"
 #include "core/supply_source.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -20,14 +20,17 @@ using namespace ftl;
 
 std::uint64_t g_seed = 31;  // cluster + supply streams; override with --seed
 
-lb::LbResult run_with_rate(double pair_rate_hz, std::size_t servers) {
-  lb::LbConfig cfg;
+lb::ShardedLbConfig cluster(std::size_t servers) {
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = 100;
   cfg.num_servers = servers;
   cfg.warmup_steps = 600;
   cfg.measure_steps = 3000;
   cfg.seed = g_seed;
+  return cfg;
+}
 
+lb::ShardedLbResult run_with_rate(double pair_rate_hz, std::size_t servers) {
   core::PairConfig pc;
   pc.backend = core::Backend::kQuantum;
   pc.visibility = 1.0;
@@ -37,32 +40,21 @@ lb::LbResult run_with_rate(double pair_rate_hz, std::size_t servers) {
   pc.round_rate_hz = 1e4;  // one CHSH round per pair of balancers per step
   pc.seed = g_seed + 17;  // decorrelated from the cluster stream
 
-  lb::PairedStrategy strat(std::make_unique<core::SupplyAwareSource>(pc));
-  return run_lb_sim(cfg, strat);
+  return lb::run_sharded_lb_sim(cluster(servers), nullptr,
+                                lb::paired_factory<core::SupplyAwareSource>(pc));
 }
 
-lb::LbResult run_reference(const std::string& kind, std::size_t servers) {
-  lb::LbConfig cfg;
-  cfg.num_balancers = 100;
-  cfg.num_servers = servers;
-  cfg.warmup_steps = 600;
-  cfg.measure_steps = 3000;
-  cfg.seed = g_seed;
-  if (kind == "random") {
-    lb::RandomStrategy s;
-    return run_lb_sim(cfg, s);
-  }
-  if (kind == "classical") {
-    lb::PairedStrategy s(std::make_unique<correlate::ClassicalChshSource>());
-    return run_lb_sim(cfg, s);
-  }
-  lb::PairedStrategy s(std::make_unique<correlate::ChshSource>(1.0));
-  return run_lb_sim(cfg, s);
+/// `source` is a correlate::make_source kind or "random".
+lb::ShardedLbResult run_reference(const std::string& source,
+                                  std::size_t servers) {
+  lb::ShardedLbConfig cfg = cluster(servers);
+  cfg.source = source;
+  return lb::run_sharded_lb_sim(cfg);
 }
 
 void BM_SupplyE2E(benchmark::State& state) {
   const double rate = std::pow(10.0, static_cast<double>(state.range(0)) / 2.0);
-  lb::LbResult r{};
+  lb::ShardedLbResult r{};
   for (auto _ : state) {
     r = run_with_rate(rate, 86);
   }
@@ -107,9 +99,9 @@ int main(int argc, char** argv) {
   ref.add_row({std::string("classical random"),
                run_reference("random", servers).mean_queue_length});
   ref.add_row({std::string("classical paired"),
-               run_reference("classical", servers).mean_queue_length});
+               run_reference("classical-chsh", servers).mean_queue_length});
   ref.add_row({std::string("quantum ideal (infinite rate)"),
-               run_reference("quantum", servers).mean_queue_length});
+               run_reference("quantum-chsh", servers).mean_queue_length});
   ref.print(std::cout);
   std::cout << "\nReading: the supply-limited curve interpolates from the\n"
                "classical reference (starved source) to the ideal quantum\n"

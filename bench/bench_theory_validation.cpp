@@ -9,7 +9,7 @@
 
 #include "bench_common.hpp"
 #include "lb/analysis.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -18,22 +18,21 @@ using namespace ftl;
 
 std::uint64_t g_seed = 12;  // override with --seed
 
-lb::LbResult run_pure_e(std::size_t n, std::size_t m) {
-  lb::LbConfig cfg;
+lb::ShardedLbResult run_pure_e(std::size_t n, std::size_t m) {
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = n;
   cfg.num_servers = m;
   cfg.p_colocate = 0.0;
   cfg.warmup_steps = 3000;
   cfg.measure_steps = 30000;
   cfg.seed = g_seed;
-  lb::RandomStrategy strat;
-  return run_lb_sim(cfg, strat);
+  return lb::run_sharded_lb_sim(cfg);
 }
 
 void BM_TheoryVsSim(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t m = 80;
-  lb::LbResult r{};
+  lb::ShardedLbResult r{};
   for (auto _ : state) {
     r = run_pure_e(n, m);
   }

@@ -53,10 +53,10 @@ games::AffinityGraph subtype_graph() {
   return g;
 }
 
-lb::LbResult run(const games::AffinityGraph& graph, const games::XorGame& game,
-                 const std::string& kind, std::size_t servers,
-                 std::vector<double> probs, lb::TypedServicePolicy policy,
-                 double interference) {
+lb::ShardedLbResult run(const games::AffinityGraph& graph,
+                        const games::XorGame& game, const std::string& kind,
+                        std::size_t servers, std::vector<double> probs,
+                        lb::TypedServicePolicy policy, double interference) {
   lb::TypedLbConfig cfg;
   cfg.num_balancers = 60;
   cfg.num_servers = servers;
@@ -92,7 +92,7 @@ void BM_TypedBinary(benchmark::State& state, const std::string& kind) {
   const auto servers = static_cast<std::size_t>(state.range(0));
   const auto graph = binary_graph();
   const auto game = games::XorGame::from_affinity(graph, true);
-  lb::LbResult r{};
+  lb::ShardedLbResult r{};
   for (auto _ : state) {
     r = run(graph, game, kind, servers, {0.5, 0.5},
             lb::TypedServicePolicy::kPriorityPairs, 0.0);
@@ -111,7 +111,7 @@ void BM_TypedSubtypes(benchmark::State& state, const std::string& kind) {
   const auto servers = static_cast<std::size_t>(state.range(0));
   const auto graph = subtype_graph();
   const auto game = games::XorGame::from_affinity(graph, true);
-  lb::LbResult r{};
+  lb::ShardedLbResult r{};
   for (auto _ : state) {
     r = run(graph, game, kind, servers, {0.35, 0.35, 0.30},
             lb::TypedServicePolicy::kPairsFirstFifo, 0.3);

@@ -18,11 +18,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "correlate/decision_source.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 
@@ -30,25 +29,21 @@ namespace {
 
 using namespace ftl;
 
-std::unique_ptr<lb::LbStrategy> make_strategy(const std::string& kind,
-                                              double visibility) {
-  if (kind == "random") return std::make_unique<lb::RandomStrategy>();
-  if (kind == "round-robin") return std::make_unique<lb::RoundRobinStrategy>();
-  if (kind == "po2") return std::make_unique<lb::PowerOfTwoStrategy>();
+lb::StrategyFactory make_strategy(const std::string& kind, double visibility) {
+  if (kind == "random") return lb::strategy_factory<lb::RandomStrategy>();
+  if (kind == "round-robin")
+    return lb::strategy_factory<lb::RoundRobinStrategy>();
+  if (kind == "po2") return lb::strategy_factory<lb::PowerOfTwoStrategy>();
   if (kind == "dedicated")
-    return std::make_unique<lb::DedicatedServersStrategy>(0.5);
+    return lb::strategy_factory<lb::DedicatedServersStrategy>(0.5);
   if (kind == "classical")
-    return std::make_unique<lb::PairedStrategy>(
-        std::make_unique<correlate::ClassicalChshSource>());
+    return lb::paired_factory<correlate::ClassicalChshSource>();
   if (kind == "mixed")
-    return std::make_unique<lb::PairedStrategy>(
-        std::make_unique<correlate::MixedClassicalSource>(0.25));
+    return lb::paired_factory<correlate::MixedClassicalSource>(0.25);
   if (kind == "quantum")
-    return std::make_unique<lb::PairedStrategy>(
-        std::make_unique<correlate::ChshSource>(visibility));
+    return lb::paired_factory<correlate::ChshSource>(visibility);
   if (kind == "omniscient")
-    return std::make_unique<lb::PairedStrategy>(
-        std::make_unique<correlate::OmniscientOracleSource>());
+    return lb::paired_factory<correlate::OmniscientOracleSource>();
   std::fprintf(stderr, "unknown strategy '%s'\n", kind.c_str());
   std::exit(2);
 }
@@ -65,7 +60,7 @@ lb::ServicePolicy parse_policy(const std::string& p) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  lb::LbConfig cfg;
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = args.get("balancers", static_cast<std::size_t>(100));
   cfg.num_servers = args.get("servers", static_cast<std::size_t>(86));
   cfg.policy = parse_policy(args.get("policy", std::string("paper")));
@@ -86,9 +81,9 @@ int main(int argc, char** argv) {
   util::Table t({"strategy", "avg queue len", "mean delay", "p95 delay",
                  "delay C", "delay E"});
   const auto run_one = [&](const std::string& k) {
-    auto strat = make_strategy(k, visibility);
-    const lb::LbResult r = run_lb_sim(cfg, *strat);
-    t.add_row({strat->name(), r.mean_queue_length, r.mean_delay, r.p95_delay,
+    const lb::StrategyFactory factory = make_strategy(k, visibility);
+    const lb::ShardedLbResult r = lb::run_sharded_lb_sim(cfg, nullptr, factory);
+    t.add_row({factory()->name(), r.mean_queue_length, r.mean_delay, r.p95_delay,
                r.mean_delay_c, r.mean_delay_e});
   };
 

@@ -24,23 +24,18 @@ PairStats Coordinator::aggregate_stats() const {
   return total;
 }
 
-std::unique_ptr<lb::LbStrategy> Coordinator::make_lb_strategy() const {
-  std::unique_ptr<correlate::PairedDecisionSource> src;
+lb::StrategyFactory Coordinator::lb_strategy_factory() const {
   switch (cfg_.backend) {
     case Backend::kIndependent:
-      src = std::make_unique<correlate::IndependentRandomSource>();
-      break;
+      return lb::paired_factory<correlate::IndependentRandomSource>();
     case Backend::kClassicalShared:
-      src = std::make_unique<correlate::ClassicalChshSource>();
-      break;
+      return lb::paired_factory<correlate::ClassicalChshSource>();
     case Backend::kQuantum:
-      src = std::make_unique<correlate::ChshSource>(cfg_.visibility);
-      break;
+      return lb::paired_factory<correlate::ChshSource>(cfg_.visibility);
     case Backend::kOmniscient:
-      src = std::make_unique<correlate::OmniscientOracleSource>();
-      break;
+      return lb::paired_factory<correlate::OmniscientOracleSource>();
   }
-  return std::make_unique<lb::PairedStrategy>(std::move(src));
+  return {};
 }
 
 ProvisioningReport Coordinator::provision(const qnet::QnetConfig& supply,

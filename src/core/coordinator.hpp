@@ -56,9 +56,9 @@ class Coordinator {
   /// Per-pair statistics, aggregated.
   [[nodiscard]] PairStats aggregate_stats() const;
 
-  /// Builds a load-balancer strategy backed by this coordinator's
-  /// configuration (used by the examples and benches).
-  [[nodiscard]] std::unique_ptr<lb::LbStrategy> make_lb_strategy() const;
+  /// Builds load-balancer strategies backed by this coordinator's
+  /// configuration, one per shard of lb::run_sharded_lb_sim.
+  [[nodiscard]] lb::StrategyFactory lb_strategy_factory() const;
 
   /// Answers "should I deploy the quantum backend?" for a given supply
   /// model (fresh-pair visibility is supply.source_visibility) and request

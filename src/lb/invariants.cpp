@@ -4,16 +4,17 @@
 
 namespace ftl::lb {
 
-std::string conservation_violation(const LbResult& r) {
+std::string conservation_violation(const ShardedLbResult& r) {
+  const ShardedCounters& c = r.counters;
   std::ostringstream os;
-  if (r.arrived < 0 || r.served < 0 || r.still_queued < 0) {
-    os << "negative counter: arrived=" << r.arrived << " served=" << r.served
-       << " still_queued=" << r.still_queued;
+  if (c.arrived < 0 || c.served < 0 || c.still_queued < 0) {
+    os << "negative counter: arrived=" << c.arrived << " served=" << c.served
+       << " still_queued=" << c.still_queued;
     return os.str();
   }
-  if (r.arrived != r.served + r.still_queued) {
-    os << "requests lost or invented: arrived=" << r.arrived
-       << " != served=" << r.served << " + still_queued=" << r.still_queued;
+  if (c.arrived != c.served + c.still_queued) {
+    os << "requests lost or invented: arrived=" << c.arrived
+       << " != served=" << c.served << " + still_queued=" << c.still_queued;
     return os.str();
   }
   if (r.mean_queue_length < 0.0) {
@@ -37,10 +38,6 @@ std::string conservation_violation(const LbResult& r) {
     return os.str();
   }
   return "";
-}
-
-bool conserves_requests(const LbResult& r) {
-  return conservation_violation(r).empty();
 }
 
 }  // namespace ftl::lb

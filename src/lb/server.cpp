@@ -91,10 +91,4 @@ std::size_t ServerArray::step(std::size_t server, ServicePolicy policy,
   return n;
 }
 
-std::vector<Request> Server::step(ServicePolicy policy) {
-  Request out[2];
-  const std::size_t n = array_.step(0, policy, out);
-  return std::vector<Request>(out, out + n);
-}
-
 }  // namespace ftl::lb

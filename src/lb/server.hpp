@@ -88,30 +88,4 @@ class ServerArray {
   std::vector<std::uint32_t> next_seq_;
 };
 
-/// Single-server facade over ServerArray, keeping the original unit-test
-/// surface (enqueue whole Requests, step returning a vector).
-class Server {
- public:
-  Server() : array_(1) {}
-
-  void enqueue(const Request& r) {
-    array_.enqueue(0, r.type, static_cast<std::uint32_t>(r.balancer),
-                   static_cast<std::int32_t>(r.arrival_step));
-  }
-
-  /// Runs one timestep of service under `policy`; served requests are
-  /// returned (in service order) for delay accounting.
-  std::vector<Request> step(ServicePolicy policy);
-
-  [[nodiscard]] std::size_t queue_length() const {
-    return array_.queue_length(0);
-  }
-  [[nodiscard]] std::size_t queued_of(TaskType t) const {
-    return array_.queued_of(0, t);
-  }
-
- private:
-  ServerArray array_;
-};
-
 }  // namespace ftl::lb

@@ -145,7 +145,7 @@ void TypedPairedStrategy::assign(const std::vector<std::size_t>& types,
   }
 }
 
-LbResult run_typed_lb_sim(const TypedLbConfig& cfg,
+ShardedLbResult run_typed_lb_sim(const TypedLbConfig& cfg,
                           const games::AffinityGraph& graph,
                           TypedLbStrategy& strategy) {
   FTL_ASSERT(!cfg.type_probs.empty());
@@ -239,22 +239,21 @@ LbResult run_typed_lb_sim(const TypedLbConfig& cfg,
     }
   }
 
-  LbResult out;
+  ShardedLbResult out;
   out.mean_queue_length = queue_len_acc.mean();
   out.mean_delay = delay_acc.mean();
   out.p95_delay = delays.empty() ? 0.0 : util::percentile(delays, 0.95);
   out.throughput = static_cast<double>(served_count) /
                    (static_cast<double>(cfg.measure_steps) *
                     static_cast<double>(cfg.num_servers));
-  out.arrived = arrived;
-  out.served = served_count;
-  long long queued = 0;
+  out.counters.arrived = arrived;
+  out.counters.served = served_count;
   for (const auto& s : servers) {
     for (const TypedTask& t : s.queue()) {
-      if (t.arrival_step >= cfg.warmup_steps) ++queued;
+      if (t.arrival_step >= cfg.warmup_steps) ++out.counters.still_queued;
     }
   }
-  out.still_queued = queued;
+  out.per_shard = {out.counters};
   return out;
 }
 

@@ -20,7 +20,7 @@
 
 #include "correlate/typed_source.hpp"
 #include "games/affinity.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 
 namespace ftl::lb {
 
@@ -112,8 +112,10 @@ class TypedPairedStrategy final : public TypedLbStrategy {
 };
 
 /// Runs the typed simulation; pairing eligibility comes from the graph.
-[[nodiscard]] LbResult run_typed_lb_sim(const TypedLbConfig& cfg,
-                                        const games::AffinityGraph& graph,
-                                        TypedLbStrategy& strategy);
+/// One unsharded cluster: the result has a single per_shard entry and no
+/// CHSH rounds or per-type (C/E) delays.
+[[nodiscard]] ShardedLbResult run_typed_lb_sim(
+    const TypedLbConfig& cfg, const games::AffinityGraph& graph,
+    TypedLbStrategy& strategy);
 
 }  // namespace ftl::lb

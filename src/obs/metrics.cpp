@@ -24,22 +24,22 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   }
 }
 
-void Histogram::observe(double x) noexcept {
+void Histogram::observe_n(double x, std::uint64_t n) noexcept {
   // Mirrors util::Histogram::add exactly: clamp + edge tallies.
   if (x < lo_) {
-    underflow_.fetch_add(1, std::memory_order_relaxed);
-    counts_[0].fetch_add(1, std::memory_order_relaxed);
+    underflow_.fetch_add(n, std::memory_order_relaxed);
+    counts_[0].fetch_add(n, std::memory_order_relaxed);
     return;
   }
   if (x >= hi_) {
-    overflow_.fetch_add(1, std::memory_order_relaxed);
-    counts_[bins_ - 1].fetch_add(1, std::memory_order_relaxed);
+    overflow_.fetch_add(n, std::memory_order_relaxed);
+    counts_[bins_ - 1].fetch_add(n, std::memory_order_relaxed);
     return;
   }
   const double frac = (x - lo_) / (hi_ - lo_);
   auto idx = static_cast<std::size_t>(frac * static_cast<double>(bins_));
   idx = std::min(idx, bins_ - 1);
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
+  counts_[idx].fetch_add(n, std::memory_order_relaxed);
 }
 
 HistogramSample Histogram::sample() const {

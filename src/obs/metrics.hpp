@@ -130,7 +130,10 @@ class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
-  void observe(double x) noexcept;
+  void observe(double x) noexcept { observe_n(x, 1); }
+  /// Bulk merge: records `n` samples of value `x` with one add per tally,
+  /// so a run can publish exact counts it kept itself.
+  void observe_n(double x, std::uint64_t n) noexcept;
 
   [[nodiscard]] double lo() const noexcept { return lo_; }
   [[nodiscard]] double hi() const noexcept { return hi_; }
@@ -217,6 +220,7 @@ struct Histogram {
   Histogram() = default;
   Histogram(double, double, std::size_t) {}
   void observe(double) const noexcept {}
+  void observe_n(double, std::uint64_t) const noexcept {}
   [[nodiscard]] double lo() const noexcept { return 0.0; }
   [[nodiscard]] double hi() const noexcept { return 1.0; }
   [[nodiscard]] std::size_t bins() const noexcept { return 1; }

@@ -62,6 +62,26 @@ double percentile(std::vector<double> xs, double q) {
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
+double percentile_of_counts(const std::vector<std::uint64_t>& counts,
+                            double q) {
+  FTL_ASSERT(q >= 0.0 && q <= 1.0);
+  std::uint64_t n = 0;
+  for (std::uint64_t c : counts) n += c;
+  FTL_ASSERT(n > 0);
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const std::uint64_t hi = std::min(lo + 1, n - 1);
+  // The value at `rank` of the sorted sample.
+  const auto value_at = [&counts](std::uint64_t rank) {
+    std::uint64_t upto = 0;
+    std::size_t v = 0;
+    while ((upto += counts[v]) <= rank) ++v;
+    return static_cast<double>(v);
+  };
+  const double frac = pos - static_cast<double>(lo);
+  return value_at(lo) * (1.0 - frac) + value_at(hi) * frac;
+}
+
 double mean_of(const std::vector<double>& xs) {
   Accumulator acc;
   for (double x : xs) acc.add(x);

@@ -5,13 +5,13 @@
 #include <cmath>
 
 #include "core/supply_source.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 
 namespace ftl {
 namespace {
 
-lb::LbConfig burst_cfg() {
-  lb::LbConfig cfg;
+lb::ShardedLbConfig burst_cfg() {
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = 60;
   cfg.num_servers = 40;
   cfg.warmup_steps = 400;
@@ -21,40 +21,38 @@ lb::LbConfig burst_cfg() {
 }
 
 TEST(Burst, ReducesMeanArrivalRate) {
-  lb::LbConfig cfg = burst_cfg();
-  lb::RandomStrategy s1;
-  const auto steady = run_lb_sim(cfg, s1);
+  lb::ShardedLbConfig cfg = burst_cfg();
+  const auto steady = lb::run_sharded_lb_sim(cfg);
   cfg.burst = lb::BurstModel{1.0, 0.2, 40.0};
-  lb::RandomStrategy s2;
-  const auto bursty = run_lb_sim(cfg, s2);
+  const auto bursty = lb::run_sharded_lb_sim(cfg);
   // Mean activity ~0.6 of steady.
-  EXPECT_LT(bursty.arrived, steady.arrived);
-  EXPECT_GT(bursty.arrived, steady.arrived / 3);
+  EXPECT_LT(bursty.counters.arrived, steady.counters.arrived);
+  EXPECT_GT(bursty.counters.arrived, steady.counters.arrived / 3);
 }
 
 TEST(Burst, ConservationStillHolds) {
-  lb::LbConfig cfg = burst_cfg();
+  lb::ShardedLbConfig cfg = burst_cfg();
   cfg.burst = lb::BurstModel{1.0, 0.1, 25.0};
-  lb::PairedStrategy strat(std::make_unique<correlate::ChshSource>(1.0));
-  const auto r = run_lb_sim(cfg, strat);
-  EXPECT_EQ(r.arrived, r.served + r.still_queued);
+  cfg.source = "quantum-chsh";
+  const auto r = lb::run_sharded_lb_sim(cfg);
+  EXPECT_EQ(r.counters.arrived, r.counters.served + r.counters.still_queued);
 }
 
 TEST(Burst, PairedStrategyHandlesLoneBalancers) {
   // With activity 0.5, half the pairs have exactly one active member each
   // step; the strategy must still produce valid assignments.
-  lb::LbConfig cfg = burst_cfg();
+  lb::ShardedLbConfig cfg = burst_cfg();
   cfg.burst = lb::BurstModel{0.5, 0.5, 1000.0};
-  lb::PairedStrategy strat(std::make_unique<correlate::ChshSource>(1.0));
-  const auto r = run_lb_sim(cfg, strat);
-  EXPECT_GT(r.served, 0);
-  EXPECT_EQ(r.arrived, r.served + r.still_queued);
+  cfg.source = "quantum-chsh";
+  const auto r = lb::run_sharded_lb_sim(cfg);
+  EXPECT_GT(r.counters.served, 0);
+  EXPECT_EQ(r.counters.arrived, r.counters.served + r.counters.still_queued);
 }
 
 TEST(Burst, QuantumAdvantageSurvivesModerateBurstiness) {
   // The §4.1 caveat probe: with bursty arrivals sized so the HIGH phase
   // sits at the knee, quantum pairing still beats classical pairing.
-  lb::LbConfig cfg;
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = 100;
   cfg.num_servers = 80;
   cfg.warmup_steps = 500;
@@ -62,11 +60,10 @@ TEST(Burst, QuantumAdvantageSurvivesModerateBurstiness) {
   cfg.seed = 9;
   cfg.burst = lb::BurstModel{1.0, 0.5, 60.0};
 
-  lb::PairedStrategy quantum(std::make_unique<correlate::ChshSource>(1.0));
-  lb::PairedStrategy classical(
-      std::make_unique<correlate::ClassicalChshSource>());
-  const auto rq = run_lb_sim(cfg, quantum);
-  const auto rc = run_lb_sim(cfg, classical);
+  cfg.source = "quantum-chsh";
+  const auto rq = lb::run_sharded_lb_sim(cfg);
+  cfg.source = "classical-chsh";
+  const auto rc = lb::run_sharded_lb_sim(cfg);
   EXPECT_LT(rq.mean_delay, rc.mean_delay);
 }
 
@@ -126,7 +123,7 @@ TEST(SupplySource, AbundantSupplyApproachesIdeal) {
 TEST(SupplySource, EndToEndClusterOrdering) {
   // The Figure-4 comparison with a finite source: supply-limited quantum
   // sits between pure classical and ideal quantum.
-  lb::LbConfig cfg;
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = 60;
   cfg.num_servers = 52;
   cfg.warmup_steps = 400;
@@ -143,14 +140,14 @@ TEST(SupplySource, EndToEndClusterOrdering) {
   pc.round_rate_hz = 1e4;
   pc.seed = 21;
 
-  lb::PairedStrategy limited(std::make_unique<core::SupplyAwareSource>(pc));
-  lb::PairedStrategy ideal(std::make_unique<correlate::ChshSource>(1.0));
-  lb::PairedStrategy classical(
-      std::make_unique<correlate::ClassicalChshSource>());
-
-  const double d_limited = run_lb_sim(cfg, limited).mean_delay;
-  const double d_ideal = run_lb_sim(cfg, ideal).mean_delay;
-  const double d_classical = run_lb_sim(cfg, classical).mean_delay;
+  const double d_limited =
+      lb::run_sharded_lb_sim(cfg, nullptr,
+                             lb::paired_factory<core::SupplyAwareSource>(pc))
+          .mean_delay;
+  cfg.source = "quantum-chsh";
+  const double d_ideal = lb::run_sharded_lb_sim(cfg).mean_delay;
+  cfg.source = "classical-chsh";
+  const double d_classical = lb::run_sharded_lb_sim(cfg).mean_delay;
   EXPECT_LT(d_ideal, d_classical);
   EXPECT_LE(d_limited, d_classical + 0.1);
   EXPECT_GE(d_limited, d_ideal - 0.1);

@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "lb/simulator.hpp"
-
 namespace ftl::core {
 namespace {
 
@@ -192,14 +190,14 @@ TEST(Coordinator, PairsGetDistinctSeeds) {
   EXPECT_GT(diff, 10);
 }
 
-TEST(Coordinator, MakeLbStrategyMatchesBackend) {
+TEST(Coordinator, LbStrategyFactoryMatchesBackend) {
   PairConfig cfg;
   cfg.backend = Backend::kQuantum;
   Coordinator coord(cfg);
-  const auto strat = coord.make_lb_strategy();
+  const auto strat = coord.lb_strategy_factory()();
   EXPECT_EQ(strat->name(), "paired(quantum-chsh)");
   cfg.backend = Backend::kClassicalShared;
-  EXPECT_EQ(Coordinator(cfg).make_lb_strategy()->name(),
+  EXPECT_EQ(Coordinator(cfg).lb_strategy_factory()()->name(),
             "paired(classical-chsh)");
 }
 

@@ -8,7 +8,7 @@
 #include "ecmp/no_signaling.hpp"
 #include "games/chsh.hpp"
 #include "games/xor_game.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "qcore/gates.hpp"
 #include "qnet/decoherence.hpp"
 #include "qnet/live_broker.hpp"
@@ -33,18 +33,17 @@ TEST(Integration, Figure3PipelineSingleGraph) {
 TEST(Integration, Figure4PipelineSmall) {
   // correlate source -> paired LB strategy -> cluster sim, quantum vs
   // classical at one load point (a miniature Figure 4).
-  lb::LbConfig cfg;
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = 60;
   cfg.num_servers = 44;
   cfg.warmup_steps = 400;
   cfg.measure_steps = 2500;
   cfg.seed = 21;
 
-  lb::PairedStrategy classical(
-      std::make_unique<correlate::ClassicalChshSource>());
-  lb::PairedStrategy quantum(std::make_unique<correlate::ChshSource>(1.0));
-  const auto rc = lb::run_lb_sim(cfg, classical);
-  const auto rq = lb::run_lb_sim(cfg, quantum);
+  cfg.source = "classical-chsh";
+  const auto rc = lb::run_sharded_lb_sim(cfg);
+  cfg.source = "quantum-chsh";
+  const auto rq = lb::run_sharded_lb_sim(cfg);
   EXPECT_LT(rq.mean_delay, rc.mean_delay);
 }
 
@@ -196,22 +195,21 @@ TEST(Integration, CorrelatedPairMatchesPairSupplyOverLongFiber) {
 TEST(Integration, MixedStrategyClusterOrdering) {
   // Across the whole strategy zoo at one fixed load, the end-to-end delay
   // ordering follows the correlation quality ordering.
-  lb::LbConfig cfg;
+  lb::ShardedLbConfig cfg;
   cfg.num_balancers = 80;
   cfg.num_servers = 58;
   cfg.warmup_steps = 300;
   cfg.measure_steps = 2000;
   cfg.seed = 35;
 
-  lb::PairedStrategy ind(std::make_unique<correlate::IndependentRandomSource>());
-  lb::PairedStrategy cls(std::make_unique<correlate::ClassicalChshSource>());
-  lb::PairedStrategy qun(std::make_unique<correlate::ChshSource>(1.0));
-  lb::PairedStrategy omn(std::make_unique<correlate::OmniscientOracleSource>());
-
-  const double d_ind = lb::run_lb_sim(cfg, ind).mean_delay;
-  const double d_cls = lb::run_lb_sim(cfg, cls).mean_delay;
-  const double d_qun = lb::run_lb_sim(cfg, qun).mean_delay;
-  const double d_omn = lb::run_lb_sim(cfg, omn).mean_delay;
+  const auto delay = [&cfg](const char* source) {
+    cfg.source = source;
+    return lb::run_sharded_lb_sim(cfg).mean_delay;
+  };
+  const double d_ind = delay("independent");
+  const double d_cls = delay("classical-chsh");
+  const double d_qun = delay("quantum-chsh");
+  const double d_omn = delay("omniscient");
 
   // Quantum beats every honest classical option. Note d_cls is NOT
   // necessarily below d_ind: the game-optimal classical strategy never

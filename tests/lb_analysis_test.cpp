@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 
 namespace ftl::lb {
 namespace {
@@ -41,15 +41,14 @@ TEST(UnitServiceQueue, SimulatorMatchesTheoryPureE) {
   // the analysed queue with Binomial(N, 1/M) arrivals.
   for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{40, 80},
                              {60, 80}, {72, 90}}) {
-    LbConfig cfg;
+    ShardedLbConfig cfg;
     cfg.num_balancers = n;
     cfg.num_servers = m;
     cfg.p_colocate = 0.0;
     cfg.warmup_steps = 3000;
     cfg.measure_steps = 30000;
     cfg.seed = 12;
-    RandomStrategy strat;
-    const LbResult r = run_lb_sim(cfg, strat);
+    const ShardedLbResult r = run_sharded_lb_sim(cfg);
     const double theory = unit_service_mean_queue(
         ArrivalMoments::from_binomial(n, 1.0 / static_cast<double>(m)));
     EXPECT_NEAR(r.mean_queue_length, theory, 0.05 + 0.1 * theory)
@@ -61,15 +60,14 @@ TEST(UnitServiceQueue, LittlesLawHoldsInSimulation) {
   // W = Q / lambda, with Q the time-average queue (excluding in-service)
   // and W the mean delay. Our delay counts whole steps from arrival to
   // service completion, so W_measured ~ Q/lambda within a step.
-  LbConfig cfg;
+  ShardedLbConfig cfg;
   cfg.num_balancers = 60;
   cfg.num_servers = 80;
   cfg.p_colocate = 0.0;
   cfg.warmup_steps = 3000;
   cfg.measure_steps = 30000;
   cfg.seed = 23;
-  RandomStrategy strat;
-  const LbResult r = run_lb_sim(cfg, strat);
+  const ShardedLbResult r = run_sharded_lb_sim(cfg);
   const double lambda = cfg.load();
   EXPECT_NEAR(r.mean_delay, r.mean_queue_length / lambda, 1.0);
 }
@@ -83,14 +81,13 @@ TEST(StabilityBounds, BracketTheMeasuredKnee) {
   EXPECT_NEAR(b.upper, 4.0 / 3.0, 1e-12);
 
   auto queue_at = [](std::size_t servers) {
-    LbConfig cfg;
+    ShardedLbConfig cfg;
     cfg.num_balancers = 100;
     cfg.num_servers = servers;
     cfg.warmup_steps = 1000;
     cfg.measure_steps = 4000;
     cfg.seed = 4;
-    RandomStrategy strat;
-    return run_lb_sim(cfg, strat).mean_queue_length;
+    return run_sharded_lb_sim(cfg).mean_queue_length;
   };
   EXPECT_LT(queue_at(112), 2.0);   // load 0.89 < lower bound: stable
   EXPECT_GT(queue_at(66), 100.0);  // load 1.52 > upper bound: divergent

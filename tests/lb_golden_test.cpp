@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "correlate/decision_source.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "lb/strategy.hpp"
 
 namespace ftl::lb {
@@ -195,31 +195,7 @@ std::unique_ptr<correlate::PairedDecisionSource> make_paired_source(
   return std::make_unique<correlate::MixedClassicalSource>(0.25);
 }
 
-/// Counts the flipped-CHSH rounds a source plays.
-class CountingSource final : public correlate::PairedDecisionSource {
- public:
-  CountingSource(std::unique_ptr<correlate::PairedDecisionSource> inner,
-                 long long* won, long long* lost)
-      : inner_(std::move(inner)), won_(won), lost_(lost) {}
-
-  std::pair<int, int> decide(int x, int y, util::Rng& rng) override {
-    const auto [a, b] = inner_->decide(x, y, rng);
-    ++(((a ^ b) != 0) == !(x == 1 && y == 1) ? *won_ : *lost_);
-    return {a, b};
-  }
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-  [[nodiscard]] double win_probability(int x, int y) const override {
-    return inner_->win_probability(x, y);
-  }
-
- private:
-  std::unique_ptr<correlate::PairedDecisionSource> inner_;
-  long long* won_;
-  long long* lost_;
-};
-
-std::unique_ptr<LbStrategy> make_strategy(const std::string& name,
-                                          long long* won, long long* lost) {
+std::unique_ptr<LbStrategy> make_strategy(const std::string& name) {
   if (name == "random") return std::make_unique<RandomStrategy>();
   if (name == "round-robin") return std::make_unique<RoundRobinStrategy>();
   if (name == "po2") return std::make_unique<PowerOfTwoStrategy>();
@@ -227,12 +203,11 @@ std::unique_ptr<LbStrategy> make_strategy(const std::string& name,
     return std::make_unique<DedicatedServersStrategy>(0.5);
   }
   if (name == "local-batching") return std::make_unique<LocalBatchingStrategy>();
-  return std::make_unique<PairedStrategy>(
-      std::make_unique<CountingSource>(make_paired_source(name), won, lost));
+  return std::make_unique<PairedStrategy>(make_paired_source(name));
 }
 
-LbConfig config(const Case& c) {
-  LbConfig cfg;
+ShardedLbConfig config(const Case& c) {
+  ShardedLbConfig cfg;
   cfg.num_balancers = 20;
   cfg.num_servers = 16;
   cfg.batch_size = c.batch;
@@ -245,29 +220,14 @@ LbConfig config(const Case& c) {
 }
 
 Row run_case(const Case& c) {
-  long long won = 0;
-  long long lost = 0;
-  auto strategy = make_strategy(c.strategy, &won, &lost);
-  const LbResult r = run_lb_sim(config(c), *strategy);
-
-  // The engine's step loop draws the same randomness whether or not it is
-  // measuring, so the warm-up steps replay exactly as a run of
-  // warmup_steps measured steps; subtracting their rounds leaves the
-  // measured ones.
-  long long warm_won = 0;
-  long long warm_lost = 0;
-  LbConfig warm = config(c);
-  warm.measure_steps = warm.warmup_steps;
-  warm.warmup_steps = 0;
-  auto warm_strategy = make_strategy(c.strategy, &warm_won, &warm_lost);
-  (void)run_lb_sim(warm, *warm_strategy);
-
+  const ShardedLbResult r = run_sharded_lb_sim(
+      config(c), nullptr, [&c] { return make_strategy(c.strategy); });
   return Row{nullptr,
-             r.arrived,
-             r.served,
-             r.still_queued,
-             won - warm_won,
-             lost - warm_lost,
+             r.counters.arrived,
+             r.counters.served,
+             r.counters.still_queued,
+             r.counters.rounds_won,
+             r.counters.rounds_lost,
              r.p95_delay,
              r.mean_queue_length,
              r.mean_delay,

@@ -5,128 +5,138 @@
 namespace ftl::lb {
 namespace {
 
-Request make(TaskType t, std::size_t balancer = 0, long step = 0) {
-  return Request{t, balancer, step};
-}
+// Every test drives server 0 of a one-server ServerArray.
+constexpr std::size_t kS = 0;
 
 TEST(Server, EmptyServesNothing) {
-  Server s;
-  EXPECT_TRUE(s.step(ServicePolicy::kPaperCFirst).empty());
-  EXPECT_EQ(s.queue_length(), 0u);
+  ServerArray s(1);
+  Request served[2];
+  EXPECT_EQ(s.step(kS, ServicePolicy::kPaperCFirst, served), 0u);
+  EXPECT_EQ(s.queue_length(kS), 0u);
 }
 
 TEST(Server, QueuedOfCounts) {
-  Server s;
-  s.enqueue(make(TaskType::kC));
-  s.enqueue(make(TaskType::kE));
-  s.enqueue(make(TaskType::kC));
-  EXPECT_EQ(s.queued_of(TaskType::kC), 2u);
-  EXPECT_EQ(s.queued_of(TaskType::kE), 1u);
-  EXPECT_EQ(s.queue_length(), 3u);
+  ServerArray s(1);
+  s.enqueue(kS, TaskType::kC, 0, 0);
+  s.enqueue(kS, TaskType::kE, 0, 0);
+  s.enqueue(kS, TaskType::kC, 0, 0);
+  EXPECT_EQ(s.queued_of(kS, TaskType::kC), 2u);
+  EXPECT_EQ(s.queued_of(kS, TaskType::kE), 1u);
+  EXPECT_EQ(s.queue_length(kS), 3u);
 }
 
 TEST(PaperCFirst, ServesTwoCsTogether) {
-  Server s;
-  s.enqueue(make(TaskType::kC, 1));
-  s.enqueue(make(TaskType::kC, 2));
-  s.enqueue(make(TaskType::kC, 3));
-  const auto served = s.step(ServicePolicy::kPaperCFirst);
-  ASSERT_EQ(served.size(), 2u);
+  ServerArray s(1);
+  Request served[2];
+  s.enqueue(kS, TaskType::kC, 1, 0);
+  s.enqueue(kS, TaskType::kC, 2, 0);
+  s.enqueue(kS, TaskType::kC, 3, 0);
+  const std::size_t n = s.step(kS, ServicePolicy::kPaperCFirst, served);
+  ASSERT_EQ(n, 2u);
   EXPECT_EQ(served[0].balancer, 1u);
   EXPECT_EQ(served[1].balancer, 2u);
-  EXPECT_EQ(s.queue_length(), 1u);
+  EXPECT_EQ(s.queue_length(kS), 1u);
 }
 
 TEST(PaperCFirst, SingleCServedAlone) {
-  Server s;
-  s.enqueue(make(TaskType::kC));
-  const auto served = s.step(ServicePolicy::kPaperCFirst);
-  EXPECT_EQ(served.size(), 1u);
+  ServerArray s(1);
+  Request served[2];
+  s.enqueue(kS, TaskType::kC, 0, 0);
+  const std::size_t n = s.step(kS, ServicePolicy::kPaperCFirst, served);
+  EXPECT_EQ(n, 1u);
   EXPECT_EQ(served[0].type, TaskType::kC);
 }
 
 TEST(PaperCFirst, CPairSkipsInterveningE) {
   // C requests pair up even across an E in between; the E waits.
-  Server s;
-  s.enqueue(make(TaskType::kC, 1));
-  s.enqueue(make(TaskType::kE, 2));
-  s.enqueue(make(TaskType::kC, 3));
-  const auto served = s.step(ServicePolicy::kPaperCFirst);
-  ASSERT_EQ(served.size(), 2u);
+  ServerArray s(1);
+  Request served[2];
+  s.enqueue(kS, TaskType::kC, 1, 0);
+  s.enqueue(kS, TaskType::kE, 2, 0);
+  s.enqueue(kS, TaskType::kC, 3, 0);
+  const std::size_t n = s.step(kS, ServicePolicy::kPaperCFirst, served);
+  ASSERT_EQ(n, 2u);
   EXPECT_EQ(served[0].balancer, 1u);
   EXPECT_EQ(served[1].balancer, 3u);
-  EXPECT_EQ(s.queued_of(TaskType::kE), 1u);
+  EXPECT_EQ(s.queued_of(kS, TaskType::kE), 1u);
 }
 
 TEST(PaperCFirst, EServedOnlyWhenNoC) {
-  Server s;
-  s.enqueue(make(TaskType::kE, 1));
-  s.enqueue(make(TaskType::kE, 2));
-  const auto served = s.step(ServicePolicy::kPaperCFirst);
-  ASSERT_EQ(served.size(), 1u);  // E is exclusive: one per step
+  ServerArray s(1);
+  Request served[2];
+  s.enqueue(kS, TaskType::kE, 1, 0);
+  s.enqueue(kS, TaskType::kE, 2, 0);
+  const std::size_t n = s.step(kS, ServicePolicy::kPaperCFirst, served);
+  ASSERT_EQ(n, 1u);  // E is exclusive: one per step
   EXPECT_EQ(served[0].balancer, 1u);
-  EXPECT_EQ(s.queue_length(), 1u);
+  EXPECT_EQ(s.queue_length(kS), 1u);
 }
 
 TEST(PaperCFirst, CPriorityStarvesE) {
-  Server s;
-  s.enqueue(make(TaskType::kE, 9));
-  s.enqueue(make(TaskType::kC, 1));
-  const auto served = s.step(ServicePolicy::kPaperCFirst);
-  ASSERT_EQ(served.size(), 1u);
+  ServerArray s(1);
+  Request served[2];
+  s.enqueue(kS, TaskType::kE, 9, 0);
+  s.enqueue(kS, TaskType::kC, 1, 0);
+  const std::size_t n = s.step(kS, ServicePolicy::kPaperCFirst, served);
+  ASSERT_EQ(n, 1u);
   EXPECT_EQ(served[0].type, TaskType::kC);
 }
 
 TEST(FifoPair, HeadEBlocksCs) {
-  Server s;
-  s.enqueue(make(TaskType::kE, 1));
-  s.enqueue(make(TaskType::kC, 2));
-  s.enqueue(make(TaskType::kC, 3));
-  const auto served = s.step(ServicePolicy::kFifoPair);
-  ASSERT_EQ(served.size(), 1u);
+  ServerArray s(1);
+  Request served[2];
+  s.enqueue(kS, TaskType::kE, 1, 0);
+  s.enqueue(kS, TaskType::kC, 2, 0);
+  s.enqueue(kS, TaskType::kC, 3, 0);
+  const std::size_t n = s.step(kS, ServicePolicy::kFifoPair, served);
+  ASSERT_EQ(n, 1u);
   EXPECT_EQ(served[0].balancer, 1u);
 }
 
 TEST(FifoPair, HeadCPairsWithLaterC) {
-  Server s;
-  s.enqueue(make(TaskType::kC, 1));
-  s.enqueue(make(TaskType::kE, 2));
-  s.enqueue(make(TaskType::kC, 3));
-  const auto served = s.step(ServicePolicy::kFifoPair);
-  ASSERT_EQ(served.size(), 2u);
+  ServerArray s(1);
+  Request served[2];
+  s.enqueue(kS, TaskType::kC, 1, 0);
+  s.enqueue(kS, TaskType::kE, 2, 0);
+  s.enqueue(kS, TaskType::kC, 3, 0);
+  const std::size_t n = s.step(kS, ServicePolicy::kFifoPair, served);
+  ASSERT_EQ(n, 2u);
   EXPECT_EQ(served[0].balancer, 1u);
   EXPECT_EQ(served[1].balancer, 3u);
 }
 
 TEST(EFirst, PrefersE) {
-  Server s;
-  s.enqueue(make(TaskType::kC, 1));
-  s.enqueue(make(TaskType::kE, 2));
-  const auto served = s.step(ServicePolicy::kEFirst);
-  ASSERT_EQ(served.size(), 1u);
+  ServerArray s(1);
+  Request served[2];
+  s.enqueue(kS, TaskType::kC, 1, 0);
+  s.enqueue(kS, TaskType::kE, 2, 0);
+  const std::size_t n = s.step(kS, ServicePolicy::kEFirst, served);
+  ASSERT_EQ(n, 1u);
   EXPECT_EQ(served[0].type, TaskType::kE);
 }
 
 TEST(EFirst, PairsCsWhenNoE) {
-  Server s;
-  s.enqueue(make(TaskType::kC, 1));
-  s.enqueue(make(TaskType::kC, 2));
-  EXPECT_EQ(s.step(ServicePolicy::kEFirst).size(), 2u);
+  ServerArray s(1);
+  Request served[2];
+  s.enqueue(kS, TaskType::kC, 1, 0);
+  s.enqueue(kS, TaskType::kC, 2, 0);
+  EXPECT_EQ(s.step(kS, ServicePolicy::kEFirst, served), 2u);
 }
 
 TEST(Server, DrainsCompletely) {
   for (auto policy : {ServicePolicy::kPaperCFirst, ServicePolicy::kFifoPair,
                       ServicePolicy::kEFirst}) {
-    Server s;
+    ServerArray s(1);
+  Request served[2];
     for (int i = 0; i < 10; ++i) {
-      s.enqueue(make(i % 3 == 0 ? TaskType::kE : TaskType::kC));
+      s.enqueue(kS, i % 3 == 0 ? TaskType::kE : TaskType::kC, 0, 0);
     }
     int steps = 0;
-    while (s.queue_length() > 0 && steps < 100) {
-      ASSERT_FALSE(s.step(policy).empty()) << to_string(policy);
+    while (s.queue_length(kS) > 0 && steps < 100) {
+      ASSERT_GT(s.step(kS, policy, served), 0u) << to_string(policy);
       ++steps;
     }
-    EXPECT_EQ(s.queue_length(), 0u) << to_string(policy);
+    EXPECT_EQ(s.queue_length(kS), 0u) << to_string(policy);
     EXPECT_LE(steps, 10);
   }
 }

@@ -1,4 +1,4 @@
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,8 +7,8 @@
 namespace ftl::lb {
 namespace {
 
-LbConfig small_config() {
-  LbConfig cfg;
+ShardedLbConfig small_config() {
+  ShardedLbConfig cfg;
   cfg.num_balancers = 20;
   cfg.num_servers = 20;
   cfg.warmup_steps = 200;
@@ -17,120 +17,113 @@ LbConfig small_config() {
   return cfg;
 }
 
+ShardedLbResult run(const ShardedLbConfig& cfg,
+                    const StrategyFactory& strategy =
+                        strategy_factory<RandomStrategy>()) {
+  return run_sharded_lb_sim(cfg, nullptr, strategy);
+}
+
 TEST(LbSim, ConservationOfRequests) {
-  LbConfig cfg = small_config();
-  RandomStrategy strat;
-  const LbResult r = run_lb_sim(cfg, strat);
+  ShardedLbConfig cfg = small_config();
+  const ShardedLbResult r = run(cfg);
   // Everything that arrived during measurement was served or is queued.
-  EXPECT_EQ(r.arrived, r.served + r.still_queued);
-  EXPECT_EQ(r.arrived, static_cast<long long>(cfg.num_balancers) *
+  EXPECT_EQ(r.counters.arrived, r.counters.served + r.counters.still_queued);
+  EXPECT_EQ(r.counters.arrived, static_cast<long long>(cfg.num_balancers) *
                            cfg.measure_steps);
 }
 
 TEST(LbSim, LowLoadHasTinyQueues) {
-  LbConfig cfg = small_config();
+  ShardedLbConfig cfg = small_config();
   cfg.num_balancers = 10;
   cfg.num_servers = 40;  // load 0.25
-  RandomStrategy strat;
-  const LbResult r = run_lb_sim(cfg, strat);
+  const ShardedLbResult r = run(cfg);
   EXPECT_LT(r.mean_queue_length, 0.5);
   EXPECT_LT(r.mean_delay, 1.5);
 }
 
 TEST(LbSim, OverloadGrowsQueues) {
-  LbConfig cfg = small_config();
+  ShardedLbConfig cfg = small_config();
   cfg.num_balancers = 60;
   cfg.num_servers = 20;  // load 3.0: far beyond capacity
-  RandomStrategy strat;
-  const LbResult r = run_lb_sim(cfg, strat);
+  const ShardedLbResult r = run(cfg);
   EXPECT_GT(r.mean_queue_length, 10.0);
 }
 
 TEST(LbSim, ThroughputBoundedByCapacity) {
-  LbConfig cfg = small_config();
-  RandomStrategy strat;
-  const LbResult r = run_lb_sim(cfg, strat);
+  ShardedLbConfig cfg = small_config();
+  const ShardedLbResult r = run(cfg);
   // A server can serve at most 2 requests per step.
   EXPECT_LE(r.throughput, 2.0 + 1e-9);
   EXPECT_GT(r.throughput, 0.0);
 }
 
 TEST(LbSim, DeterministicForSeed) {
-  LbConfig cfg = small_config();
-  RandomStrategy s1;
-  RandomStrategy s2;
-  const LbResult a = run_lb_sim(cfg, s1);
-  const LbResult b = run_lb_sim(cfg, s2);
+  ShardedLbConfig cfg = small_config();
+  const ShardedLbResult a = run(cfg);
+  const ShardedLbResult b = run(cfg);
   EXPECT_DOUBLE_EQ(a.mean_queue_length, b.mean_queue_length);
-  EXPECT_EQ(a.served, b.served);
+  EXPECT_EQ(a.counters.served, b.counters.served);
 }
 
 TEST(LbSim, SeedChangesRealisation) {
-  LbConfig cfg = small_config();
-  RandomStrategy s1;
-  const LbResult a = run_lb_sim(cfg, s1);
+  ShardedLbConfig cfg = small_config();
+  const ShardedLbResult a = run(cfg);
   cfg.seed = 43;
-  RandomStrategy s2;
-  const LbResult b = run_lb_sim(cfg, s2);
+  const ShardedLbResult b = run(cfg);
   EXPECT_NE(a.mean_queue_length, b.mean_queue_length);
 }
 
 TEST(LbSim, PureCWorkloadBenefitsFromPairService) {
   // With only type-C tasks, capacity is 2/step; load 1.5 is stable.
-  LbConfig cfg = small_config();
+  ShardedLbConfig cfg = small_config();
   cfg.num_balancers = 30;
   cfg.num_servers = 20;
   cfg.p_colocate = 1.0;
-  RandomStrategy strat;
-  const LbResult r = run_lb_sim(cfg, strat);
+  const ShardedLbResult r = run(cfg);
   EXPECT_LT(r.mean_queue_length, 5.0);
 }
 
 TEST(LbSim, PureEWorkloadSaturatesAtLoadOne) {
-  LbConfig cfg = small_config();
+  ShardedLbConfig cfg = small_config();
   cfg.num_balancers = 30;
   cfg.num_servers = 20;  // load 1.5 of E-only: unstable
   cfg.p_colocate = 0.0;
-  RandomStrategy strat;
-  const LbResult r = run_lb_sim(cfg, strat);
+  const ShardedLbResult r = run(cfg);
   EXPECT_GT(r.mean_queue_length, 20.0);
 }
 
 TEST(LbSim, QuantumBeatsClassicalAtModerateLoad) {
   // The Figure-4 claim at a single load point, with tight seed control.
-  LbConfig cfg;
+  ShardedLbConfig cfg;
   cfg.num_balancers = 100;
   cfg.num_servers = 72;  // load ~1.39, near the classical knee
   cfg.warmup_steps = 500;
   cfg.measure_steps = 3000;
   cfg.seed = 7;
 
-  PairedStrategy classical(std::make_unique<correlate::ClassicalChshSource>());
-  PairedStrategy quantum(std::make_unique<correlate::ChshSource>(1.0));
-  const LbResult rc = run_lb_sim(cfg, classical);
-  const LbResult rq = run_lb_sim(cfg, quantum);
+  const ShardedLbResult rc =
+      run(cfg, paired_factory<correlate::ClassicalChshSource>());
+  const ShardedLbResult rq = run(cfg, paired_factory<correlate::ChshSource>(1.0));
   EXPECT_LT(rq.mean_queue_length, rc.mean_queue_length);
 }
 
 TEST(LbSim, OmniscientIsBestPairedStrategy) {
-  LbConfig cfg;
+  ShardedLbConfig cfg;
   cfg.num_balancers = 60;
   cfg.num_servers = 44;
   cfg.warmup_steps = 300;
   cfg.measure_steps = 2000;
   cfg.seed = 11;
 
-  PairedStrategy quantum(std::make_unique<correlate::ChshSource>(1.0));
-  PairedStrategy omni(std::make_unique<correlate::OmniscientOracleSource>());
-  const LbResult rq = run_lb_sim(cfg, quantum);
-  const LbResult ro = run_lb_sim(cfg, omni);
+  const ShardedLbResult rq = run(cfg, paired_factory<correlate::ChshSource>(1.0));
+  const ShardedLbResult ro =
+      run(cfg, paired_factory<correlate::OmniscientOracleSource>());
   EXPECT_LE(ro.mean_queue_length, rq.mean_queue_length + 0.05);
 }
 
 TEST(LbSim, DelayMetricsConsistent) {
-  LbConfig cfg = small_config();
-  RandomStrategy strat;
-  const LbResult r = run_lb_sim(cfg, strat);
+  ShardedLbConfig cfg = small_config();
+  const ShardedLbResult r = run(cfg);
   EXPECT_GE(r.p95_delay, r.mean_delay - 1e-9);
   EXPECT_GE(r.mean_delay, 0.0);
   // Mean delay is a mixture of the two per-type means.
@@ -141,25 +134,23 @@ TEST(LbSim, DelayMetricsConsistent) {
 TEST(LbSim, ServicePolicyVariantsRun) {
   for (auto policy : {ServicePolicy::kPaperCFirst, ServicePolicy::kFifoPair,
                       ServicePolicy::kEFirst}) {
-    LbConfig cfg = small_config();
+    ShardedLbConfig cfg = small_config();
     cfg.policy = policy;
-    RandomStrategy strat;
-    const LbResult r = run_lb_sim(cfg, strat);
-    EXPECT_EQ(r.arrived, r.served + r.still_queued) << to_string(policy);
+    const ShardedLbResult r = run(cfg);
+    EXPECT_EQ(r.counters.arrived, r.counters.served + r.counters.still_queued) << to_string(policy);
   }
 }
 
 TEST(LbSim, BatchSizeMultipliesArrivals) {
-  LbConfig cfg = small_config();
+  ShardedLbConfig cfg = small_config();
   cfg.batch_size = 3;
-  LocalBatchingStrategy strat;
-  const LbResult r = run_lb_sim(cfg, strat);
-  EXPECT_EQ(r.arrived, static_cast<long long>(cfg.num_balancers) * 3 *
+  const ShardedLbResult r = run(cfg, strategy_factory<LocalBatchingStrategy>());
+  EXPECT_EQ(r.counters.arrived, static_cast<long long>(cfg.num_balancers) * 3 *
                            cfg.measure_steps);
 }
 
 TEST(LbSim, LoadHelper) {
-  LbConfig cfg;
+  ShardedLbConfig cfg;
   cfg.num_balancers = 100;
   cfg.num_servers = 50;
   EXPECT_DOUBLE_EQ(cfg.load(), 2.0);

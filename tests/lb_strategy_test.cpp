@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "util/rng.hpp"
@@ -9,61 +10,79 @@
 namespace ftl::lb {
 namespace {
 
-std::vector<std::vector<TaskType>> uniform_types(std::size_t n,
-                                                 std::size_t batch,
-                                                 util::Rng& rng) {
-  std::vector<std::vector<TaskType>> t(n, std::vector<TaskType>(batch));
-  for (auto& row : t) {
-    for (auto& x : row) {
-      x = rng.bernoulli(0.5) ? TaskType::kC : TaskType::kE;
-    }
+/// One step's flat routing input and output, every balancer active.
+struct Step {
+  std::vector<TaskType> types;
+  std::vector<std::uint8_t> active;
+  std::size_t batch = 1;
+  std::vector<std::uint32_t> out;
+
+  Step(std::vector<TaskType> t, std::size_t b)
+      : types(std::move(t)),
+        active(types.size() / b, 1),
+        batch(b),
+        out(types.size(), 0) {}
+
+  void assign(LbStrategy& s, const ServerArray& servers, util::Rng& rng) {
+    s.assign(Arrivals{types, active, batch}, out, ClusterView{servers}, rng);
   }
-  return t;
+};
+
+Step uniform_step(std::size_t n, std::size_t batch, util::Rng& rng) {
+  std::vector<TaskType> t(n * batch);
+  for (auto& x : t) x = rng.bernoulli(0.5) ? TaskType::kC : TaskType::kE;
+  return Step(std::move(t), batch);
 }
 
-void expect_valid(const std::vector<std::vector<std::size_t>>& out,
+void expect_valid(const std::vector<std::uint32_t>& out,
                   std::size_t num_servers) {
-  for (const auto& row : out) {
-    for (std::size_t s : row) EXPECT_LT(s, num_servers);
-  }
+  for (std::uint32_t s : out) EXPECT_LT(s, num_servers);
 }
 
 TEST(RandomStrategy, ProducesValidServers) {
   RandomStrategy strat;
   util::Rng rng(1);
-  const auto types = uniform_types(10, 2, rng);
-  std::vector<std::vector<std::size_t>> out;
-  std::vector<std::size_t> q(7, 0);
-  strat.assign(types, out, ClusterView{7, &q}, rng);
-  ASSERT_EQ(out.size(), 10u);
-  ASSERT_EQ(out[0].size(), 2u);
-  expect_valid(out, 7);
+  Step step = uniform_step(10, 2, rng);
+  const ServerArray servers(7);
+  step.assign(strat, servers, rng);
+  ASSERT_EQ(step.out.size(), 20u);
+  expect_valid(step.out, 7);
 }
 
 TEST(RandomStrategy, CoversAllServers) {
   RandomStrategy strat;
   util::Rng rng(2);
-  std::set<std::size_t> seen;
-  std::vector<std::vector<std::size_t>> out;
-  std::vector<std::size_t> q(5, 0);
+  std::set<std::uint32_t> seen;
+  const ServerArray servers(5);
   for (int i = 0; i < 200; ++i) {
-    const auto types = uniform_types(4, 1, rng);
-    strat.assign(types, out, ClusterView{5, &q}, rng);
-    for (const auto& row : out) seen.insert(row[0]);
+    Step step = uniform_step(4, 1, rng);
+    step.assign(strat, servers, rng);
+    seen.insert(step.out.begin(), step.out.end());
   }
   EXPECT_EQ(seen.size(), 5u);
+}
+
+TEST(RandomStrategy, SkipsInactiveBalancers) {
+  RandomStrategy strat;
+  util::Rng rng(3);
+  Step step({TaskType::kC, TaskType::kE}, 1);
+  step.active[1] = 0;
+  step.out[1] = 99;
+  const ServerArray servers(4);
+  step.assign(strat, servers, rng);
+  EXPECT_LT(step.out[0], 4u);
+  EXPECT_EQ(step.out[1], 99u);
 }
 
 TEST(RoundRobin, CyclesThroughServers) {
   RoundRobinStrategy strat;
   util::Rng rng(3);
-  std::vector<std::vector<std::size_t>> out;
-  std::vector<std::size_t> q(4, 0);
-  const auto types = uniform_types(1, 1, rng);
-  std::vector<std::size_t> seq;
+  const ServerArray servers(4);
+  Step step = uniform_step(1, 1, rng);
+  std::vector<std::uint32_t> seq;
   for (int i = 0; i < 8; ++i) {
-    strat.assign(types, out, ClusterView{4, &q}, rng);
-    seq.push_back(out[0][0]);
+    step.assign(strat, servers, rng);
+    seq.push_back(step.out[0]);
   }
   // Consecutive assignments advance by exactly 1 mod 4.
   for (std::size_t i = 1; i < seq.size(); ++i) {
@@ -74,14 +93,16 @@ TEST(RoundRobin, CyclesThroughServers) {
 TEST(PowerOfTwo, PrefersShorterQueue) {
   PowerOfTwoStrategy strat;
   util::Rng rng(4);
-  std::vector<std::size_t> q{100, 100, 0, 100};  // server 2 always shortest
-  std::vector<std::vector<std::size_t>> out;
-  const auto types = uniform_types(1, 1, rng);
+  ServerArray servers(4);  // server 2 always shortest
+  for (std::size_t s : {0u, 1u, 3u}) {
+    for (int i = 0; i < 100; ++i) servers.enqueue(s, TaskType::kE, 0, 0);
+  }
+  Step step = uniform_step(1, 1, rng);
   int hits = 0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
-    strat.assign(types, out, ClusterView{4, &q}, rng);
-    if (out[0][0] == 2) ++hits;
+    step.assign(strat, servers, rng);
+    if (step.out[0] == 2) ++hits;
   }
   // Server 2 is chosen whenever probed: P = 1 - (3/4)(2/4)... = P(2 in
   // sample of 2 of 4 distinct) = 1 - C(3,2)/C(4,2) = 1/2.
@@ -91,58 +112,54 @@ TEST(PowerOfTwo, PrefersShorterQueue) {
 TEST(Paired, UsesOnlyTwoCandidateServersPerPair) {
   PairedStrategy strat(std::make_unique<correlate::IndependentRandomSource>());
   util::Rng rng(5);
-  std::vector<std::size_t> q(10, 0);
-  std::vector<std::vector<std::size_t>> out;
-  const auto types = uniform_types(6, 1, rng);
-  strat.assign(types, out, ClusterView{10, &q}, rng);
+  const ServerArray servers(10);
+  Step step = uniform_step(6, 1, rng);
+  step.assign(strat, servers, rng);
   // Each pair's two members land on at most 2 servers.
   for (std::size_t p = 0; p < 6; p += 2) {
-    std::set<std::size_t> servers{out[p][0], out[p + 1][0]};
-    EXPECT_LE(servers.size(), 2u);
+    std::set<std::uint32_t> used{step.out[p], step.out[p + 1]};
+    EXPECT_LE(used.size(), 2u);
   }
 }
 
 TEST(Paired, OmniscientColocatesCCOnly) {
   PairedStrategy strat(std::make_unique<correlate::OmniscientOracleSource>());
   util::Rng rng(6);
-  std::vector<std::size_t> q(8, 0);
-  std::vector<std::vector<std::size_t>> out;
+  const ServerArray servers(8);
+  Step step({TaskType::kC, TaskType::kC, TaskType::kC, TaskType::kE}, 1);
   for (int i = 0; i < 300; ++i) {
-    std::vector<std::vector<TaskType>> types{{TaskType::kC}, {TaskType::kC},
-                                             {TaskType::kC}, {TaskType::kE}};
-    strat.assign(types, out, ClusterView{8, &q}, rng);
-    EXPECT_EQ(out[0][0], out[1][0]);  // C,C colocate
-    EXPECT_NE(out[2][0], out[3][0]);  // C,E separate
+    step.assign(strat, servers, rng);
+    EXPECT_EQ(step.out[0], step.out[1]);  // C,C colocate
+    EXPECT_NE(step.out[2], step.out[3]);  // C,E separate
   }
 }
 
 TEST(Paired, QuantumColocationRates) {
   PairedStrategy strat(std::make_unique<correlate::ChshSource>(1.0));
   util::Rng rng(7);
-  std::vector<std::size_t> q(8, 0);
-  std::vector<std::vector<std::size_t>> out;
+  const ServerArray servers(8);
+  Step step({TaskType::kC, TaskType::kC, TaskType::kC, TaskType::kE}, 1);
   int cc_colocated = 0;
   int ce_separated = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    std::vector<std::vector<TaskType>> types{{TaskType::kC}, {TaskType::kC},
-                                             {TaskType::kC}, {TaskType::kE}};
-    strat.assign(types, out, ClusterView{8, &q}, rng);
-    if (out[0][0] == out[1][0]) ++cc_colocated;
-    if (out[2][0] != out[3][0]) ++ce_separated;
+    step.assign(strat, servers, rng);
+    if (step.out[0] == step.out[1]) ++cc_colocated;
+    if (step.out[2] != step.out[3]) ++ce_separated;
   }
   const double expect = 0.5 * (1.0 + 1.0 / std::sqrt(2.0));  // ~0.854
   EXPECT_NEAR(static_cast<double>(cc_colocated) / n, expect, 0.012);
   EXPECT_NEAR(static_cast<double>(ce_separated) / n, expect, 0.012);
+  // Every pair played one round per step.
+  EXPECT_EQ(strat.rounds().won + strat.rounds().lost, 2LL * n);
 }
 
 TEST(Paired, RequiresEvenBalancers) {
   PairedStrategy strat(std::make_unique<correlate::IndependentRandomSource>());
   util::Rng rng(8);
-  std::vector<std::size_t> q(4, 0);
-  std::vector<std::vector<std::size_t>> out;
-  const auto types = uniform_types(3, 1, rng);
-  EXPECT_DEATH(strat.assign(types, out, ClusterView{4, &q}, rng), "even");
+  const ServerArray servers(4);
+  Step step = uniform_step(3, 1, rng);
+  EXPECT_DEATH(step.assign(strat, servers, rng), "even");
 }
 
 TEST(Paired, NameIncludesSource) {
@@ -153,52 +170,54 @@ TEST(Paired, NameIncludesSource) {
 TEST(Dedicated, SeparatesTypes) {
   DedicatedServersStrategy strat(0.5);
   util::Rng rng(9);
-  std::vector<std::size_t> q(10, 0);
-  std::vector<std::vector<std::size_t>> out;
+  const ServerArray servers(10);
+  Step step({TaskType::kC, TaskType::kE}, 1);
   for (int i = 0; i < 200; ++i) {
-    std::vector<std::vector<TaskType>> types{{TaskType::kC}, {TaskType::kE}};
-    strat.assign(types, out, ClusterView{10, &q}, rng);
-    EXPECT_LT(out[0][0], 5u);   // C goes to dedicated half
-    EXPECT_GE(out[1][0], 5u);   // E to the rest
+    step.assign(strat, servers, rng);
+    EXPECT_LT(step.out[0], 5u);  // C goes to dedicated half
+    EXPECT_GE(step.out[1], 5u);  // E to the rest
   }
 }
 
 TEST(Dedicated, AlwaysKeepsAtLeastOneOfEach) {
   DedicatedServersStrategy strat(0.01);
   util::Rng rng(10);
-  std::vector<std::size_t> q(3, 0);
-  std::vector<std::vector<std::size_t>> out;
-  std::vector<std::vector<TaskType>> types{{TaskType::kC}, {TaskType::kE}};
-  strat.assign(types, out, ClusterView{3, &q}, rng);
-  EXPECT_EQ(out[0][0], 0u);
-  EXPECT_GE(out[1][0], 1u);
+  const ServerArray servers(3);
+  Step step({TaskType::kC, TaskType::kE}, 1);
+  step.assign(strat, servers, rng);
+  EXPECT_EQ(step.out[0], 0u);
+  EXPECT_GE(step.out[1], 1u);
 }
 
 TEST(LocalBatching, AllCsOfOneBalancerColocate) {
   LocalBatchingStrategy strat;
   util::Rng rng(11);
-  std::vector<std::size_t> q(10, 0);
-  std::vector<std::vector<std::size_t>> out;
-  std::vector<std::vector<TaskType>> types{
-      {TaskType::kC, TaskType::kC, TaskType::kE, TaskType::kC}};
-  strat.assign(types, out, ClusterView{10, &q}, rng);
-  EXPECT_EQ(out[0][0], out[0][1]);
-  EXPECT_EQ(out[0][1], out[0][3]);
+  const ServerArray servers(10);
+  Step step({TaskType::kC, TaskType::kC, TaskType::kE, TaskType::kC}, 4);
+  step.assign(strat, servers, rng);
+  EXPECT_EQ(step.out[0], step.out[1]);
+  EXPECT_EQ(step.out[1], step.out[3]);
 }
 
 TEST(LocalBatching, DifferentBalancersIndependent) {
   LocalBatchingStrategy strat;
   util::Rng rng(12);
-  std::vector<std::size_t> q(50, 0);
-  std::vector<std::vector<std::size_t>> out;
-  std::set<std::size_t> targets;
+  const ServerArray servers(50);
+  std::set<std::uint32_t> targets;
+  Step step({TaskType::kC, TaskType::kC}, 1);
   for (int i = 0; i < 100; ++i) {
-    std::vector<std::vector<TaskType>> types{{TaskType::kC}, {TaskType::kC}};
-    strat.assign(types, out, ClusterView{50, &q}, rng);
-    targets.insert(out[0][0]);
-    targets.insert(out[1][0]);
+    step.assign(strat, servers, rng);
+    targets.insert(step.out[0]);
+    targets.insert(step.out[1]);
   }
   EXPECT_GT(targets.size(), 10u);
+}
+
+TEST(SourceFactory, ResolvesSourceStrings) {
+  EXPECT_EQ(source_factory("random", 1.0)()->name(), "random");
+  EXPECT_EQ(source_factory("quantum-chsh", 0.9)()->name(),
+            "paired(" + correlate::ChshSource(0.9).name() + ")");
+  EXPECT_EQ(source_factory("omniscient", 1.0)()->name(), "paired(omniscient)");
 }
 
 }  // namespace

@@ -64,6 +64,21 @@ TEST(ObsHistogram, MatchesUtilHistogramBinning) {
   EXPECT_DOUBLE_EQ(h.snapshot().quantile(0.5), ref.quantile(0.5));
 }
 
+TEST(ObsHistogram, ObserveNIsBulkObserve) {
+  Histogram bulk(0.0, 10.0, 5);
+  Histogram one_by_one(0.0, 10.0, 5);
+  for (double x : {-1.0, 0.0, 3.5, 9.999, 10.0, 42.0}) {
+    bulk.observe_n(x, 3);
+    for (int i = 0; i < 3; ++i) one_by_one.observe(x);
+  }
+  const ftl::obs::HistogramSample a = bulk.sample();
+  const ftl::obs::HistogramSample b = one_by_one.sample();
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.underflow, b.underflow);
+  EXPECT_EQ(a.overflow, b.overflow);
+  EXPECT_EQ(a.total, 18u);
+}
+
 TEST(ObsHistogram, ResetKeepsShape) {
   Histogram h(0.0, 1.0, 4);
   h.observe(0.3);

@@ -70,6 +70,7 @@ TEST(ObsNoop, CallsAreSafeAndInert) {
 
   noop::Histogram& h = reg.histogram("h", 0.0, 10.0, 5);
   h.observe(3.0);
+  h.observe_n(3.0, 7);
   EXPECT_EQ(h.sample().total, 0u);
 
   const ftl::obs::Snapshot snap = reg.snapshot();

@@ -18,7 +18,7 @@
 #include "games/seesaw.hpp"
 #include "games/xor_game.hpp"
 #include "lb/invariants.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "lb/strategy.hpp"
 #include "lb/typed_simulator.hpp"
 #include "util/proptest.hpp"
@@ -28,7 +28,7 @@ namespace {
 using ftl::games::CorrelationBox;
 using ftl::games::QuantumStrategy;
 using ftl::games::XorGame;
-using ftl::lb::LbResult;
+using ftl::lb::ShardedLbResult;
 using ftl::proptest::CaseResult;
 using ftl::proptest::for_all;
 using ftl::proptest::Options;
@@ -44,7 +44,7 @@ Options suite(const std::string& name, std::size_t cases) {
 // --- typed vs untyped simulators on identical seeds -------------------------
 
 struct TwinCase {
-  ftl::lb::LbConfig plain;
+  ftl::lb::ShardedLbConfig plain;
   ftl::lb::TypedLbConfig typed;
 };
 
@@ -80,8 +80,7 @@ TEST(PropCrosscheck, TypedSimulatorReproducesPlainSimulatorExactly) {
   const auto r = for_all(
       suite("typed-vs-plain-lb", 100), random_twin_case,
       [](const TwinCase& c) {
-        ftl::lb::RandomStrategy plain_strategy;
-        const LbResult plain = ftl::lb::run_lb_sim(c.plain, plain_strategy);
+        const ShardedLbResult plain = ftl::lb::run_sharded_lb_sim(c.plain);
 
         // Binary affinity graph: type 0 = C (self-colocating), type 1 = E
         // (exclusive against everything).
@@ -89,7 +88,7 @@ TEST(PropCrosscheck, TypedSimulatorReproducesPlainSimulatorExactly) {
         graph.set(0, 1, ftl::games::Affinity::kExclusive);
         graph.set(1, 1, ftl::games::Affinity::kExclusive);
         ftl::lb::TypedRandomStrategy typed_strategy;
-        const LbResult typed =
+        const ShardedLbResult typed =
             ftl::lb::run_typed_lb_sim(c.typed, graph, typed_strategy);
 
         const std::string plain_violation =
@@ -102,16 +101,16 @@ TEST(PropCrosscheck, TypedSimulatorReproducesPlainSimulatorExactly) {
         if (!typed_violation.empty()) {
           return CaseResult::fail("typed: " + typed_violation);
         }
-        if (plain.arrived != typed.arrived || plain.served != typed.served ||
-            plain.still_queued != typed.still_queued) {
+        const ftl::lb::ShardedCounters& p = plain.counters;
+        const ftl::lb::ShardedCounters& t = typed.counters;
+        if (p.arrived != t.arrived || p.served != t.served ||
+            p.still_queued != t.still_queued) {
           return CaseResult::fail(
               "counters diverge: plain arrived/served/queued " +
-              std::to_string(plain.arrived) + "/" +
-              std::to_string(plain.served) + "/" +
-              std::to_string(plain.still_queued) + " vs typed " +
-              std::to_string(typed.arrived) + "/" +
-              std::to_string(typed.served) + "/" +
-              std::to_string(typed.still_queued));
+              std::to_string(p.arrived) + "/" + std::to_string(p.served) +
+              "/" + std::to_string(p.still_queued) + " vs typed " +
+              std::to_string(t.arrived) + "/" + std::to_string(t.served) +
+              "/" + std::to_string(t.still_queued));
         }
         if (std::abs(plain.mean_queue_length - typed.mean_queue_length) >
                 1e-12 ||

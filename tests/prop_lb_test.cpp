@@ -13,15 +13,15 @@
 #include "correlate/typed_source.hpp"
 #include "games/affinity.hpp"
 #include "lb/invariants.hpp"
-#include "lb/simulator.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "lb/strategy.hpp"
 #include "lb/typed_simulator.hpp"
 #include "util/proptest.hpp"
 
 namespace {
 
-using ftl::lb::LbConfig;
-using ftl::lb::LbResult;
+using ftl::lb::ShardedLbConfig;
+using ftl::lb::ShardedLbResult;
 using ftl::proptest::CaseResult;
 using ftl::proptest::for_all;
 using ftl::proptest::Options;
@@ -35,7 +35,7 @@ Options suite(const std::string& name, std::size_t cases = 110) {
 }
 
 struct PlainCase {
-  LbConfig cfg;
+  ShardedLbConfig cfg;
   std::string strategy;
 };
 
@@ -75,28 +75,27 @@ PlainCase random_plain_case(Rng& rng) {
   return c;
 }
 
-std::unique_ptr<ftl::lb::LbStrategy> make_plain_strategy(
-    const std::string& kind) {
+ShardedLbResult run_plain(const PlainCase& c) {
   using namespace ftl;
-  if (kind == "random") return std::make_unique<lb::RandomStrategy>();
-  if (kind == "round-robin") return std::make_unique<lb::RoundRobinStrategy>();
-  if (kind == "power-of-two") {
-    return std::make_unique<lb::PowerOfTwoStrategy>();
+  if (c.strategy == "round-robin") {
+    return lb::run_sharded_lb_sim(
+        c.cfg, nullptr, lb::strategy_factory<lb::RoundRobinStrategy>());
   }
-  if (kind == "paired-classical") {
-    return std::make_unique<lb::PairedStrategy>(
-        correlate::make_source("classical-chsh"));
+  if (c.strategy == "power-of-two") {
+    return lb::run_sharded_lb_sim(
+        c.cfg, nullptr, lb::strategy_factory<lb::PowerOfTwoStrategy>());
   }
-  return std::make_unique<lb::PairedStrategy>(
-      correlate::make_source("quantum-chsh"));
+  ShardedLbConfig cfg = c.cfg;
+  if (c.strategy == "paired-classical") cfg.source = "classical-chsh";
+  if (c.strategy == "paired-quantum") cfg.source = "quantum-chsh";
+  return lb::run_sharded_lb_sim(cfg);
 }
 
 TEST(PropLb, PlainSimulatorConservesRequests) {
   const auto r = for_all(
       suite("plain-lb-conservation"), random_plain_case,
       [](const PlainCase& c) {
-        auto strategy = make_plain_strategy(c.strategy);
-        const LbResult result = ftl::lb::run_lb_sim(c.cfg, *strategy);
+        const ShardedLbResult result = run_plain(c);
         const std::string violation =
             ftl::lb::conservation_violation(result);
         if (!violation.empty()) {
@@ -106,8 +105,9 @@ TEST(PropLb, PlainSimulatorConservesRequests) {
         const long long capacity =
             2LL * static_cast<long long>(c.cfg.num_servers) *
             static_cast<long long>(c.cfg.measure_steps);
-        if (result.served > capacity) {
-          return CaseResult::fail("served " + std::to_string(result.served) +
+        if (result.counters.served > capacity) {
+          return CaseResult::fail("served " +
+                                  std::to_string(result.counters.served) +
                                   " exceeds service capacity " +
                                   std::to_string(capacity));
         }
@@ -176,7 +176,7 @@ TEST(PropLb, TypedSimulatorConservesRequests) {
                 group_of, groups);
           }
         }
-        const LbResult result =
+        const ShardedLbResult result =
             ftl::lb::run_typed_lb_sim(c.cfg, c.graph, *strategy);
         const std::string violation =
             ftl::lb::conservation_violation(result);
@@ -184,7 +184,7 @@ TEST(PropLb, TypedSimulatorConservesRequests) {
         const long long capacity =
             2LL * static_cast<long long>(c.cfg.num_servers) *
             static_cast<long long>(c.cfg.measure_steps);
-        if (result.served > capacity) {
+        if (result.counters.served > capacity) {
           return CaseResult::fail("served exceeds 2-per-server-step capacity");
         }
         return CaseResult::pass();
@@ -199,12 +199,9 @@ TEST(PropLb, SimulationIsDeterministicInItsSeed) {
   const auto r = for_all(
       suite("lb-seed-determinism", 60), random_plain_case,
       [](const PlainCase& c) {
-        auto s1 = make_plain_strategy(c.strategy);
-        auto s2 = make_plain_strategy(c.strategy);
-        const LbResult a = ftl::lb::run_lb_sim(c.cfg, *s1);
-        const LbResult b = ftl::lb::run_lb_sim(c.cfg, *s2);
-        if (a.arrived != b.arrived || a.served != b.served ||
-            a.still_queued != b.still_queued ||
+        const ShardedLbResult a = run_plain(c);
+        const ShardedLbResult b = run_plain(c);
+        if (a.counters != b.counters ||
             a.mean_queue_length != b.mean_queue_length ||
             a.mean_delay != b.mean_delay) {
           return CaseResult::fail("same seed, different trajectories");

@@ -3,25 +3,20 @@
 // Three layers of guarantees, strongest first:
 //   1. bit-identical determinism — same (seed, shard count) must reproduce
 //      the integer counters exactly, on any thread count;
-//   2. exact reference equivalence — a 1-shard run consumes the identical
-//      RNG stream as run_lb_sim and must match its deterministic counters
-//      bit for bit (and its float means to round-off);
+//   2. exact outputs — the p95 delay is exact even under overload (the
+//      one-shard outputs of every strategy are frozen in lb_golden_test);
 //   3. statistical physics equivalence — multi-shard runs are independent
 //      sub-clusters at the same load, so conserved quantities are invariant
 //      in the shard count and the CHSH win rate / queue curves must match
-//      the single-threaded engine within confidence intervals.
+//      the unsharded cluster within confidence intervals.
 #include "lb/sharded_simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <memory>
 #include <vector>
 
-#include "correlate/decision_source.hpp"
-#include "lb/simulator.hpp"
-#include "lb/strategy.hpp"
 #include "sim/sharded.hpp"
 #include "util/stats.hpp"
 
@@ -135,59 +130,19 @@ TEST(ShardedSim, ThreadCountDoesNotChangeResults) {
   EXPECT_DOUBLE_EQ(r1.mean_delay, r8.mean_delay);
 }
 
-// --- 2. exact equivalence with the single-threaded engine ------------------
+// --- 2. exact outputs ----------------------------------------------------
+// (lb_golden_test freezes the one-shard outputs of every strategy.)
 
-TEST(ShardedSim, OneShardMatchesReferenceEngineBitForBit) {
-  for (const char* source :
-       {"quantum-chsh", "classical-chsh", "omniscient", "independent"}) {
-    const ShardedLbConfig cfg = small_cfg(source, 1);
-
-    LbConfig ref;
-    ref.num_balancers = cfg.num_balancers;
-    ref.num_servers = cfg.num_servers;
-    ref.p_colocate = cfg.p_colocate;
-    ref.policy = cfg.policy;
-    ref.warmup_steps = cfg.warmup_steps;
-    ref.measure_steps = cfg.measure_steps;
-    ref.seed = cfg.seed;
-    PairedStrategy strategy(correlate::make_source(source));
-    const LbResult expected = run_lb_sim(ref, strategy);
-
-    const ShardedLbResult got = run_sharded_lb_sim(cfg);
-    EXPECT_EQ(got.counters.arrived, expected.arrived) << source;
-    EXPECT_EQ(got.counters.served, expected.served) << source;
-    EXPECT_EQ(got.counters.still_queued, expected.still_queued) << source;
-    // The sharded engine sums exact integer queue lengths / delays where
-    // the reference runs a Welford accumulator, so the means agree to
-    // float rounding rather than bit for bit.
-    EXPECT_NEAR(got.mean_queue_length, expected.mean_queue_length,
-                1e-9 * (1.0 + expected.mean_queue_length))
-        << source;
-    EXPECT_NEAR(got.mean_delay, expected.mean_delay,
-                1e-9 * (1.0 + expected.mean_delay))
-        << source;
-    EXPECT_NEAR(got.throughput, expected.throughput, 1e-12) << source;
-  }
-}
-
-TEST(ShardedSim, OneShardRandomMatchesReferenceEngineBitForBit) {
-  const ShardedLbConfig cfg = small_cfg("random", 1);
-  LbConfig ref;
-  ref.num_balancers = cfg.num_balancers;
-  ref.num_servers = cfg.num_servers;
-  ref.warmup_steps = cfg.warmup_steps;
-  ref.measure_steps = cfg.measure_steps;
-  ref.seed = cfg.seed;
-  RandomStrategy strategy;
-  const LbResult expected = run_lb_sim(ref, strategy);
-  const ShardedLbResult got = run_sharded_lb_sim(cfg);
-  EXPECT_EQ(got.counters.arrived, expected.arrived);
-  EXPECT_EQ(got.counters.served, expected.served);
-  EXPECT_EQ(got.counters.still_queued, expected.still_queued);
-  EXPECT_NEAR(got.mean_queue_length, expected.mean_queue_length,
-              1e-9 * (1.0 + expected.mean_queue_length));
-  EXPECT_NEAR(got.mean_delay, expected.mean_delay,
-              1e-9 * (1.0 + expected.mean_delay));
+TEST(ShardedSim, P95DelayIsExactUnderOverload) {
+  // Load 2.0 drives delays into the thousands of steps; the p95 must not
+  // saturate at any histogram edge. 2737 is the exact 95th percentile of
+  // the measured delays (util::percentile over every served request).
+  ShardedLbConfig cfg = small_cfg("quantum-chsh", 1);
+  cfg.num_balancers = 100;
+  cfg.num_servers = 50;
+  cfg.warmup_steps = 1000;
+  cfg.measure_steps = 4000;
+  EXPECT_EQ(run_sharded_lb_sim(cfg).p95_delay, 2737.0);
 }
 
 // --- 3. conservation and statistical physics equivalence -------------------
@@ -237,29 +192,18 @@ TEST(ShardedSim, WinRateMatchesTsirelsonWithinCi) {
               3.0 * util::wilson_halfwidth(won, rounds));
 }
 
-TEST(ShardedSim, MultiShardMatchesReferencePhysicsWithinCi) {
+TEST(ShardedSim, MultiShardMatchesUnshardedPhysicsWithinCi) {
   // A sharded cluster is independent sub-clusters at the same load N/M, so
-  // its Fig-4 observables must agree with the single-threaded engine's
+  // its Fig-4 observables must agree with the unsharded cluster's
   // statistically. Compare mean queue length per server against the
-  // reference engine's CI over per-seed replicates.
+  // one-shard CI over per-seed replicates.
   constexpr std::size_t kSeeds = 5;
   for (const char* source : {"random", "quantum-chsh"}) {
     util::Accumulator ref_mq;
     for (std::size_t i = 0; i < kSeeds; ++i) {
-      LbConfig ref;
-      ref.num_balancers = 48;
-      ref.num_servers = 24;
-      ref.warmup_steps = 200;
-      ref.measure_steps = 800;
-      ref.seed = 100 + i;
-      std::unique_ptr<LbStrategy> strategy;
-      if (std::string(source) == "random") {
-        strategy = std::make_unique<RandomStrategy>();
-      } else {
-        strategy =
-            std::make_unique<PairedStrategy>(correlate::make_source(source));
-      }
-      ref_mq.add(run_lb_sim(ref, *strategy).mean_queue_length);
+      ShardedLbConfig cfg = small_cfg(source, 1);
+      cfg.seed = 100 + i;
+      ref_mq.add(run_sharded_lb_sim(cfg).mean_queue_length);
     }
 
     util::Accumulator sharded_mq;
@@ -274,7 +218,7 @@ TEST(ShardedSim, MultiShardMatchesReferencePhysicsWithinCi) {
     const double diff = std::abs(ref_mq.mean() - sharded_mq.mean());
     const double tol =
         3.0 * (ref_mq.ci95_halfwidth() + sharded_mq.ci95_halfwidth()) + 1e-6;
-    EXPECT_LE(diff, tol) << source << " ref=" << ref_mq.mean()
+    EXPECT_LE(diff, tol) << source << " unsharded=" << ref_mq.mean()
                          << " sharded=" << sharded_mq.mean();
   }
 }

@@ -189,7 +189,7 @@ lb::TypedLbConfig typed_cfg(std::size_t servers) {
 TEST(TypedSim, ConservationOfTasks) {
   lb::TypedRandomStrategy strat;
   const auto r = run_typed_lb_sim(typed_cfg(50), subtype_graph(), strat);
-  EXPECT_EQ(r.arrived, r.served + r.still_queued);
+  EXPECT_EQ(r.counters.arrived, r.counters.served + r.counters.still_queued);
 }
 
 TEST(TypedSim, LowLoadStays) {
