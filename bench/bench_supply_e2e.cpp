@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <iostream>
-#include <memory>
 
 #include "bench_common.hpp"
 #include "core/supply_source.hpp"
@@ -40,8 +39,9 @@ lb::ShardedLbResult run_with_rate(double pair_rate_hz, std::size_t servers) {
   pc.round_rate_hz = 1e4;  // one CHSH round per pair of balancers per step
   pc.seed = g_seed + 17;  // decorrelated from the cluster stream
 
-  return lb::run_sharded_lb_sim(cluster(servers), nullptr,
-                                lb::paired_factory<core::SupplyAwareSource>(pc));
+  return lb::run_sharded_lb_sim(
+      cluster(servers), nullptr,
+      lb::paired_factory<core::SupplyAwareSource>(pc));
 }
 
 /// `source` is a correlate::make_source kind or "random".

@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
   const auto run_one = [&](const std::string& k) {
     const lb::StrategyFactory factory = make_strategy(k, visibility);
     const lb::ShardedLbResult r = lb::run_sharded_lb_sim(cfg, nullptr, factory);
-    t.add_row({factory()->name(), r.mean_queue_length, r.mean_delay, r.p95_delay,
-               r.mean_delay_c, r.mean_delay_e});
+    t.add_row({factory()->name(), r.mean_queue_length, r.mean_delay,
+               r.p95_delay, r.mean_delay_c, r.mean_delay_e});
   };
 
   if (kind == "all") {

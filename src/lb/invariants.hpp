@@ -1,10 +1,10 @@
 // Conservation and sanity invariants for the load-balancing simulators.
 //
-// Both run_sharded_lb_sim and run_typed_lb_sim count every measured arrival, every
-// measured service completion, and every measured task still queued at the
-// end. A correct simulator loses nothing: arrived == served + still_queued,
-// exactly, for every config — the queue-conservation law the property
-// suites check on random workloads.
+// Both run_sharded_lb_sim and run_typed_lb_sim count every measured
+// arrival, every measured service completion, and every measured task still
+// queued at the end. A correct simulator loses nothing: arrived == served +
+// still_queued, exactly, for every config — the queue-conservation law the
+// property suites check on random workloads.
 #pragma once
 
 #include <string>

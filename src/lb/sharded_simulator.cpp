@@ -19,11 +19,10 @@ inline void tally(std::vector<std::uint64_t>& counts, std::size_t v) {
   ++counts[v];
 }
 
-/// Everything one shard produces; written only by the thread that ran the
-/// shard, read only after the pool barrier. Queue lengths and delays are
-/// integers, so the shard keeps exact counts per value (a Welford update
-/// per server per step would put a division on the hot path); the means
-/// and the p95 come out of the merged counts.
+/// Everything one shard produces. Queue lengths and delays are integers, so
+/// the shard keeps exact counts per value (a Welford update per server per
+/// step would put a division on the hot path); the means and the p95 come
+/// out of the merged counts.
 struct ShardOutput {
   ShardedCounters counters;
   /// depth_counts[q]: measured server-steps that ended with q queued.
@@ -43,8 +42,13 @@ struct ShardOutput {
 /// switch draw (if bursty), then per balancer one activity draw (if the
 /// phase's activity is below 1) and one type draw per request, then the
 /// strategy's draws.
-void run_shard(const ShardedLbConfig& cfg, std::size_t shard,
-               LbStrategy& strategy, ShardOutput& out) {
+///
+/// The output is a local, returned at the end: shards that run at the same
+/// time on neighbouring slots of the output vector would otherwise share
+/// cache lines in the hot loop.
+ShardOutput run_shard(const ShardedLbConfig& cfg, std::size_t shard,
+                      LbStrategy& strategy) {
+  ShardOutput out;
   const std::size_t n_b =
       sim::shard_range(cfg.num_balancers, cfg.num_shards, shard).size();
   const std::size_t n_s =
@@ -129,6 +133,7 @@ void run_shard(const ShardedLbConfig& cfg, std::size_t shard,
   out.rounds = strategy.rounds();
   out.counters.rounds_won = out.rounds.won - at_warmup.won;
   out.counters.rounds_lost = out.rounds.lost - at_warmup.lost;
+  return out;
 }
 
 /// into[v] += from[v] for every v.
@@ -172,12 +177,16 @@ void publish(const ShardedLbConfig& cfg, const std::string& strategy,
   obs::Histogram& depth =
       reg.histogram("lb.queue_depth", 0.0, 256.0, 64, label);
   for (std::size_t q = 0; q < depth_counts.size(); ++q) {
-    if (depth_counts[q] > 0) depth.observe_n(static_cast<double>(q), depth_counts[q]);
+    if (depth_counts[q] > 0) {
+      depth.observe_n(static_cast<double>(q), depth_counts[q]);
+    }
   }
   obs::Histogram& delay =
       reg.histogram("lb.delay_steps", 0.0, 512.0, 64, label);
   for (std::size_t d = 0; d < delay_counts.size(); ++d) {
-    if (delay_counts[d] > 0) delay.observe_n(static_cast<double>(d), delay_counts[d]);
+    if (delay_counts[d] > 0) {
+      delay.observe_n(static_cast<double>(d), delay_counts[d]);
+    }
   }
   if (!depth_counts.empty()) {
     reg.gauge("lb.queue_depth.high_water", label)
@@ -210,7 +219,7 @@ ShardedLbResult run_sharded_lb_sim(const ShardedLbConfig& cfg,
 
   std::vector<ShardOutput> outputs(cfg.num_shards);
   const auto job = [&](std::size_t shard) {
-    run_shard(cfg, shard, *strategies[shard], outputs[shard]);
+    outputs[shard] = run_shard(cfg, shard, *strategies[shard]);
   };
   if (pool != nullptr) {
     pool->parallel_shards(cfg.num_shards, job);

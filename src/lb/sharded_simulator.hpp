@@ -142,7 +142,7 @@ struct ShardedLbResult {
     const StrategyFactory& make_strategy);
 
 /// The same, playing cfg.source (source_factory(cfg.source, cfg.visibility)).
-[[nodiscard]] ShardedLbResult run_sharded_lb_sim(const ShardedLbConfig& cfg,
-                                                 sim::ShardPool* pool = nullptr);
+[[nodiscard]] ShardedLbResult run_sharded_lb_sim(
+    const ShardedLbConfig& cfg, sim::ShardPool* pool = nullptr);
 
 }  // namespace ftl::lb

@@ -65,6 +65,9 @@ void PairedStrategy::assign(const Arrivals& in, std::span<std::uint32_t> out,
   FTL_ASSERT_MSG(in.batch == 1, "paired strategy is defined for batch size 1");
   const std::size_t n = view.num_servers();
   FTL_ASSERT(n >= 2);
+  // Tallied in a local and stored once per call: strategies of shards that
+  // run at the same time may sit on one cache line.
+  ChshTally rounds = rounds_;
   for (std::size_t p = 0; p + 1 < in.balancers(); p += 2) {
     const bool left = in.active[p] != 0;
     const bool right = in.active[p + 1] != 0;
@@ -79,7 +82,7 @@ void PairedStrategy::assign(const Arrivals& in, std::span<std::uint32_t> out,
       // Flipped-CHSH win condition: a XOR b == NOT(x AND y) — both-C pairs
       // co-locate, every other pair separates.
       const bool won = ((a ^ b) != 0) == !(x == 1 && y == 1);
-      ++(won ? rounds_.won : rounds_.lost);
+      ++(won ? rounds.won : rounds.lost);
       out[p] = static_cast<std::uint32_t>(a == 0 ? s0 : s1);
       out[p + 1] = static_cast<std::uint32_t>(b == 0 ? s0 : s1);
     } else {
@@ -89,6 +92,7 @@ void PairedStrategy::assign(const Arrivals& in, std::span<std::uint32_t> out,
           static_cast<std::uint32_t>(rng.bernoulli(0.5) ? s1 : s0);
     }
   }
+  rounds_ = rounds;
 }
 
 DedicatedServersStrategy::DedicatedServersStrategy(double c_fraction)

@@ -146,8 +146,8 @@ void TypedPairedStrategy::assign(const std::vector<std::size_t>& types,
 }
 
 ShardedLbResult run_typed_lb_sim(const TypedLbConfig& cfg,
-                          const games::AffinityGraph& graph,
-                          TypedLbStrategy& strategy) {
+                                 const games::AffinityGraph& graph,
+                                 TypedLbStrategy& strategy) {
   FTL_ASSERT(!cfg.type_probs.empty());
   FTL_ASSERT(cfg.type_probs.size() == graph.num_types());
   double total_p = 0.0;

@@ -8,7 +8,9 @@
 // integer sums, so only the last float rounding may differ). CHSH
 // won/lost count the paired rounds played during the measured steps.
 //
-// The table was generated by
+// The table was generated at commit 03c8e6e, where this file still drove
+// the former single-cluster engine (since folded into run_sharded_lb_sim;
+// its measured rounds were recovered by replaying the warm-up steps), by
 //
 //   FTL_LB_GOLDEN_PRINT=1 ./lb_golden_test
 //
@@ -189,9 +191,13 @@ std::unique_ptr<correlate::PairedDecisionSource> make_paired_source(
   if (name == "paired(quantum-chsh,v=0.9)") {
     return std::make_unique<correlate::ChshSource>(0.9);
   }
-  if (name == "paired(classical-chsh)") return correlate::make_source("classical-chsh");
+  if (name == "paired(classical-chsh)") {
+    return correlate::make_source("classical-chsh");
+  }
   if (name == "paired(omniscient)") return correlate::make_source("omniscient");
-  if (name == "paired(independent)") return correlate::make_source("independent");
+  if (name == "paired(independent)") {
+    return correlate::make_source("independent");
+  }
   return std::make_unique<correlate::MixedClassicalSource>(0.25);
 }
 
@@ -202,7 +208,9 @@ std::unique_ptr<LbStrategy> make_strategy(const std::string& name) {
   if (name == "dedicated(0.5)") {
     return std::make_unique<DedicatedServersStrategy>(0.5);
   }
-  if (name == "local-batching") return std::make_unique<LocalBatchingStrategy>();
+  if (name == "local-batching") {
+    return std::make_unique<LocalBatchingStrategy>();
+  }
   return std::make_unique<PairedStrategy>(make_paired_source(name));
 }
 

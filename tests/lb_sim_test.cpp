@@ -103,7 +103,8 @@ TEST(LbSim, QuantumBeatsClassicalAtModerateLoad) {
 
   const ShardedLbResult rc =
       run(cfg, paired_factory<correlate::ClassicalChshSource>());
-  const ShardedLbResult rq = run(cfg, paired_factory<correlate::ChshSource>(1.0));
+  const ShardedLbResult rq =
+      run(cfg, paired_factory<correlate::ChshSource>(1.0));
   EXPECT_LT(rq.mean_queue_length, rc.mean_queue_length);
 }
 
@@ -115,7 +116,8 @@ TEST(LbSim, OmniscientIsBestPairedStrategy) {
   cfg.measure_steps = 2000;
   cfg.seed = 11;
 
-  const ShardedLbResult rq = run(cfg, paired_factory<correlate::ChshSource>(1.0));
+  const ShardedLbResult rq =
+      run(cfg, paired_factory<correlate::ChshSource>(1.0));
   const ShardedLbResult ro =
       run(cfg, paired_factory<correlate::OmniscientOracleSource>());
   EXPECT_LE(ro.mean_queue_length, rq.mean_queue_length + 0.05);
@@ -137,7 +139,8 @@ TEST(LbSim, ServicePolicyVariantsRun) {
     ShardedLbConfig cfg = small_config();
     cfg.policy = policy;
     const ShardedLbResult r = run(cfg);
-    EXPECT_EQ(r.counters.arrived, r.counters.served + r.counters.still_queued) << to_string(policy);
+    EXPECT_EQ(r.counters.arrived, r.counters.served + r.counters.still_queued)
+        << to_string(policy);
   }
 }
 
