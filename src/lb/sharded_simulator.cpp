@@ -213,9 +213,12 @@ ShardedLbResult run_sharded_lb_sim(const ShardedLbConfig& cfg,
   const obs::ScopedSpan span("lb.run_sharded_lb_sim", "lb");
 
   // Strategies are built up front in shard order, so a factory with side
-  // effects (seed counters, precomputed outcome tables) stays deterministic.
+  // effects stays deterministic.
   std::vector<std::unique_ptr<LbStrategy>> strategies(cfg.num_shards);
-  for (auto& s : strategies) s = make_strategy();
+  for (auto& s : strategies) {
+    s = make_strategy();
+    FTL_ASSERT_MSG(s != nullptr, "strategy factory returned no strategy");
+  }
 
   std::vector<ShardOutput> outputs(cfg.num_shards);
   const auto job = [&](std::size_t shard) {
